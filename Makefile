@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge cover trace clean
+.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-serve cover trace clean
 
 all: verify
 
@@ -157,6 +157,18 @@ profile-huge:
 		-cpuprofile huge.cpu.out -o huge.test.bin ./internal/cloudsim
 	$(GO) tool pprof -top -nodecount 25 huge.test.bin huge.cpu.out
 
+# profile-serve is the service twin of profile-huge: CPU and allocation
+# profiles of BenchmarkServe (Place+Release through the admission
+# pipeline, shard queue, search and journal), with the top consumers of
+# CPU time and of allocated bytes printed. Artifacts: serve.cpu.out,
+# serve.mem.out + serve.test.bin, inspect interactively with
+# `go tool pprof serve.test.bin serve.cpu.out`.
+profile-serve:
+	$(GO) test -run NONE -bench 'BenchmarkServe$$' -cpu 1 -benchmem \
+		-cpuprofile serve.cpu.out -memprofile serve.mem.out -o serve.test.bin ./internal/serve
+	$(GO) tool pprof -top -nodecount 25 serve.test.bin serve.cpu.out
+	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_space serve.test.bin serve.mem.out
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
@@ -168,5 +180,6 @@ trace:
 
 clean:
 	$(GO) clean ./...
-	rm -f cover.out huge.cpu.out huge.test.bin explain-smoke.jsonl explain-smoke.txt
+	rm -f cover.out huge.cpu.out huge.test.bin serve.cpu.out serve.mem.out serve.test.bin \
+		explain-smoke.jsonl explain-smoke.txt
 	rm -rf serve-soak-artifacts

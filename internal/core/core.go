@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
@@ -161,10 +162,32 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Allocator runs the paper's allocation algorithm.
+// Allocator runs the paper's allocation algorithm. It is safe for
+// concurrent use.
 type Allocator struct {
 	cfg Config
+	// est memoizes database estimates for the allocator's lifetime. The
+	// database is immutable, and the search only estimates allocations
+	// within MaxVMsPerServer and PerClassBound (a block's base is
+	// componentwise at most its grown allocation, which passed the
+	// bounds), so the cache holds under a hundred keys on the paper's
+	// clouds.
+	est *model.EstimateCache
+	tel searchTelemetry
+	// spare is one idle search context. A call takes it and puts it back
+	// when done; a call that finds it taken by a concurrent one builds a
+	// fresh context, so sharing an Allocator stays correct and only the
+	// reuse is lost.
+	spare atomic.Pointer[searchCtx]
 }
+
+// spareMapLimit bounds the map sizes a search context may keep as the
+// spare. Maps never shrink, so a rare large VM set (up to Bell(12)
+// partitions) would otherwise pin its dedup set and memo for the
+// allocator's lifetime and make every later clear() pay for their
+// capacity. Jobs of 1-4 VMs on the paper's 66-server cloud stay near
+// 120 memo entries and 15 partitions.
+const spareMapLimit = 1 << 10
 
 // NewAllocator validates the configuration and returns an allocator.
 func NewAllocator(cfg Config) (*Allocator, error) {
@@ -200,7 +223,29 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cfg.PerClassBound[c] = cfg.MaxVMsPerServer
 		}
 	}
-	return &Allocator{cfg: cfg}, nil
+	a := &Allocator{cfg: cfg, est: model.NewEstimateCache(cfg.DB), tel: newSearchTelemetry(cfg.Obs)}
+	a.est.Instrument(cfg.Obs)
+	return a, nil
+}
+
+// acquire returns a search context reset for one call: the spare when
+// it is idle, else a fresh one.
+func (a *Allocator) acquire(goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
+	if sc := a.spare.Swap(nil); sc != nil {
+		sc.reset(goal, servers, vms)
+		return sc
+	}
+	return newSearchCtx(a, goal, servers, vms)
+}
+
+// release makes sc the spare once its call has materialized its answer,
+// dropping the caller's slices so the spare does not keep them alive.
+func (a *Allocator) release(sc *searchCtx) {
+	if len(sc.seen) > spareMapLimit || len(sc.blockMemo) > spareMapLimit {
+		return
+	}
+	sc.servers, sc.vms = nil, nil
+	a.spare.Store(sc)
 }
 
 // Placement is one block of the chosen partition assigned to a server.
@@ -312,7 +357,8 @@ func (a *Allocator) AllocateExplained(goal Goal, servers []ServerState, vms []VM
 	if err := a.validateRequest(goal, servers, vms); err != nil {
 		return Allocation{}, SearchStats{}, err
 	}
-	sc := newSearchCtx(a, goal, servers, vms)
+	sc := a.acquire(goal, servers, vms)
+	defer a.release(sc)
 	frontier, maxT, maxE, exhausted, err := sc.search(a.cfg.SearchWorkers)
 	if err != nil {
 		return Allocation{}, sc.stats, err

@@ -12,7 +12,8 @@ package core
 //  2. Block pricing is memoized per (server state, block composition):
 //     the same block on the same effective allocation is priced once,
 //     not once per partition that contains it. Database estimates are
-//     additionally memoized per allocation key (model.EstimateCache).
+//     additionally memoized per allocation key in the Allocator's
+//     model.EstimateCache, which lives as long as the Allocator.
 //  3. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -68,19 +69,20 @@ type typeMask uint16
 
 // vmTypes assigns each VM a small type id such that two VMs share an id
 // iff they are interchangeable: same class, nominal time and QoS bound.
-// types[t] is a representative request of type t.
-func vmTypes(vms []VMRequest) (typeOf []uint8, types []VMRequest) {
-	typeOf = make([]uint8, len(vms))
-	types = make([]VMRequest, 0, len(vms))
+// types[t] is a representative request of type t. The tables are built
+// over typeOf[:0] and types[:0], so a reused search context fills them
+// without allocating.
+func vmTypes(vms []VMRequest, typeOf []uint8, types []VMRequest) ([]uint8, []VMRequest) {
+	typeOf, types = typeOf[:0], types[:0]
 assign:
-	for i, vm := range vms {
+	for _, vm := range vms {
 		for t, rep := range types {
 			if rep.Class == vm.Class && rep.NominalTime == vm.NominalTime && rep.MaxTime == vm.MaxTime {
-				typeOf[i] = uint8(t)
+				typeOf = append(typeOf, uint8(t))
 				continue assign
 			}
 		}
-		typeOf[i] = uint8(len(types))
+		typeOf = append(typeOf, uint8(len(types)))
 		types = append(types, vm)
 	}
 	return typeOf, types
@@ -150,21 +152,10 @@ type blockPlace struct {
 	energy   units.Joules
 }
 
-// searchCtx is the shared state of one Allocate call: the VM type
-// table plus the two memo layers, both safe for concurrent workers.
-type searchCtx struct {
-	a       *Allocator
-	goal    Goal
-	servers []ServerState
-	vms     []VMRequest
-	typeOf  []uint8
-	types   []VMRequest
-	typeKey []model.Key
-
-	est *model.EstimateCache
-
-	// Telemetry handles; all nil (no-op) when the allocator has no
-	// registry. Counters are atomic, so workers update them directly.
+// searchTelemetry holds the search's instrument handles, resolved once
+// per Allocator; all nil (no-op) when the allocator has no registry.
+// Counters are atomic, so workers update them directly.
+type searchTelemetry struct {
 	enumerated *obs.Counter // partitions produced by the generator
 	deduped    *obs.Counter // partitions skipped by the signature dedup
 	feasible   *obs.Counter // candidates every block of which placed
@@ -173,6 +164,40 @@ type searchCtx struct {
 	exhausted  *obs.Counter // searches abandoned on budget exhaustion
 	degraded   *obs.Counter // allocations served by the first-fit fallback
 	workerLoad *obs.Histogram
+}
+
+func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
+	return searchTelemetry{
+		enumerated: reg.Counter("search_partitions_enumerated"),
+		deduped:    reg.Counter("search_partitions_deduped"),
+		feasible:   reg.Counter("search_candidates_feasible"),
+		infeasible: reg.Counter("search_candidates_infeasible"),
+		pruned:     reg.Counter("search_pareto_pruned"),
+		exhausted:  reg.Counter("search_budget_exhausted"),
+		degraded:   reg.Counter("search_degraded_firstfit"),
+		// Jobs per worker: a flat pool shows every worker near
+		// jobs/workers; a long tail of idle workers shows the serial
+		// producer is the bottleneck.
+		workerLoad: reg.Histogram("search_jobs_per_worker",
+			1, 4, 16, 64, 256, 1024, 4096, 16384),
+	}
+}
+
+// searchCtx is the state of one Allocate call: the VM type table, the
+// block memo (safe for concurrent workers), the partition dedup set and
+// the serial worker. An Allocator keeps one idle context as its spare
+// (Allocator.acquire/release), so its maps and scratch slices are reset
+// between calls instead of rebuilt.
+type searchCtx struct {
+	a *Allocator
+	*searchTelemetry
+
+	goal    Goal
+	servers []ServerState
+	vms     []VMRequest
+	typeOf  []uint8
+	types   []VMRequest
+	typeKey []model.Key
 
 	// stats is the exact per-call tally behind AllocateExplained.
 	// Enumerated/Deduped are bumped by the sequential producer; the
@@ -182,41 +207,40 @@ type searchCtx struct {
 
 	blockMu   sync.RWMutex
 	blockMemo map[blockMemoKey]blockMemoVal
+
+	// seen is the partition-signature dedup set; only the sequential
+	// producer touches it.
+	seen map[partSig]struct{}
+	// serial is the worker searchSerial evaluates on, kept with its
+	// scratch buffers for the context's next call.
+	serial *searchWorker
 }
 
 func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
-	typeOf, types := vmTypes(vms)
-	typeKey := make([]model.Key, len(types))
-	for t, rep := range types {
-		typeKey[t] = model.KeyFor(rep.Class, 1)
-	}
 	sc := &searchCtx{
-		a:         a,
-		goal:      goal,
-		servers:   servers,
-		vms:       vms,
-		typeOf:    typeOf,
-		types:     types,
-		typeKey:   typeKey,
-		est:       model.NewEstimateCache(a.cfg.DB),
-		blockMemo: make(map[blockMemoKey]blockMemoVal, 256),
+		a:               a,
+		searchTelemetry: &a.tel,
+		blockMemo:       make(map[blockMemoKey]blockMemoVal),
+		seen:            make(map[partSig]struct{}),
 	}
-	if reg := a.cfg.Obs; reg != nil {
-		sc.enumerated = reg.Counter("search_partitions_enumerated")
-		sc.deduped = reg.Counter("search_partitions_deduped")
-		sc.feasible = reg.Counter("search_candidates_feasible")
-		sc.infeasible = reg.Counter("search_candidates_infeasible")
-		sc.pruned = reg.Counter("search_pareto_pruned")
-		sc.exhausted = reg.Counter("search_budget_exhausted")
-		sc.degraded = reg.Counter("search_degraded_firstfit")
-		// Jobs per worker: a flat pool shows every worker near
-		// jobs/workers; a long tail of idle workers shows the serial
-		// producer is the bottleneck.
-		sc.workerLoad = reg.Histogram("search_jobs_per_worker",
-			1, 4, 16, 64, 256, 1024, 4096, 16384)
-		sc.est.Instrument(reg)
-	}
+	sc.reset(goal, servers, vms)
 	return sc
+}
+
+// reset readies the context for one call. The memo is cleared every
+// time, not only when the VM set changes: a blockSig packs this call's
+// type ids, so an entry left by an earlier call would price a different
+// block under the same key.
+func (sc *searchCtx) reset(goal Goal, servers []ServerState, vms []VMRequest) {
+	sc.goal, sc.servers, sc.vms = goal, servers, vms
+	sc.typeOf, sc.types = vmTypes(vms, sc.typeOf, sc.types)
+	sc.typeKey = sc.typeKey[:0]
+	for _, rep := range sc.types {
+		sc.typeKey = append(sc.typeKey, model.KeyFor(rep.Class, 1))
+	}
+	sc.stats = SearchStats{}
+	clear(sc.blockMemo)
+	clear(sc.seen)
 }
 
 // priceBlock prices adding a block of composition sig (total key
@@ -253,7 +277,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 			return blockMemoVal{}
 		}
 	}
-	recAfter, err := sc.est.Estimate(after)
+	recAfter, err := sc.a.est.Estimate(after)
 	if err != nil {
 		return blockMemoVal{}
 	}
@@ -280,7 +304,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 	// difference, clamped at zero.
 	var beforeEnergy units.Joules
 	if !base.IsZero() {
-		recBefore, err := sc.est.Estimate(base)
+		recBefore, err := sc.a.est.Estimate(base)
 		if err != nil {
 			return blockMemoVal{}
 		}
@@ -301,7 +325,7 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	if mask == 0 || sc.a.cfg.RelaxQoS {
 		return true
 	}
-	rec, err := sc.est.Estimate(after)
+	rec, err := sc.a.est.Estimate(after)
 	if err != nil {
 		return false
 	}
@@ -367,6 +391,32 @@ func (sc *searchCtx) newWorker() *searchWorker {
 		options:   make([]blockOption, 0, len(sc.servers)),
 		places:    make([]blockPlace, 0, len(sc.vms)),
 	}
+}
+
+// serialWorker returns the context's serial worker, reset for this call.
+func (sc *searchCtx) serialWorker() *searchWorker {
+	w := sc.serial
+	if w == nil {
+		sc.serial = sc.newWorker()
+		return sc.serial
+	}
+	n := len(sc.servers)
+	// The previous call materialized its winner before releasing the
+	// context, so the old frontier is dead; clearing it drops the
+	// candidates' block and placement slices.
+	clear(w.frontier)
+	*w = searchWorker{
+		sc: sc,
+		// Appending make(...) to s[:0] zeroes n entries in s's capacity.
+		extra:     append(w.extra[:0], make([]model.Key, n)...),
+		mask:      append(w.mask[:0], make([]typeMask, n)...),
+		touched:   w.touched[:0],
+		seenBases: w.seenBases[:0],
+		options:   w.options[:0],
+		places:    w.places[:0],
+		frontier:  w.frontier[:0],
+	}
+	return w
 }
 
 // consider evaluates one partition and folds it into the worker's
@@ -556,8 +606,8 @@ func (sc *searchCtx) search(workers int) (cands []candidate, maxT units.Seconds,
 }
 
 func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joules, bool, error) {
-	w := sc.newWorker()
-	seen := make(map[partSig]struct{}, 64)
+	w := sc.serialWorker()
+	seen := sc.seen
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
 	exhausted := false
@@ -628,7 +678,7 @@ func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds,
 	// deterministic — while workers price partitions concurrently. The
 	// budget is spent here too, never by the racing consumers, so the
 	// cut point is independent of worker scheduling.
-	seen := make(map[partSig]struct{}, 256)
+	seen := sc.seen
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
 	exhausted := false

@@ -182,7 +182,7 @@ func TestPartitionSignatureProperty(t *testing.T) {
 		}
 		b1 := randomRGS(r, n)
 		b2 := randomRGS(r, n)
-		typeOf, types := vmTypes(vms)
+		typeOf, types := vmTypes(vms, nil, nil)
 		if len(types) > n {
 			return false
 		}
@@ -206,7 +206,7 @@ func TestVMTypesInterchangeability(t *testing.T) {
 		{ID: "e", Class: workload.ClassCPU, NominalTime: 600, MaxTime: 1200},
 		{ID: "f", Class: workload.ClassCPU, NominalTime: 600},
 	}
-	typeOf, types := vmTypes(vms)
+	typeOf, types := vmTypes(vms, nil, nil)
 	if len(types) != 4 {
 		t.Fatalf("types = %d, want 4", len(types))
 	}

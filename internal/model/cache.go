@@ -14,9 +14,13 @@ import (
 // call would, so cached and uncached searches are bit-for-bit
 // equivalent.
 //
-// The cache holds an unbounded map and is meant to be scoped to one
-// search or simulation over one database, not held for a process
-// lifetime over many databases.
+// The cache never evicts, so it suits a key space that stays small for
+// the life of one database. The allocator (internal/core) keeps one
+// cache per Allocator for the allocator's whole lifetime: the database
+// is immutable, and its search only estimates allocations within the
+// per-server and per-class VM bounds, under a hundred keys on the
+// paper's clouds. Do not share a cache across databases or feed it an
+// unbounded key set.
 type EstimateCache struct {
 	db *DB
 
@@ -45,9 +49,14 @@ func (c *EstimateCache) DB() *DB { return c.db }
 
 // Instrument wires the cache's telemetry to reg: counters
 // model_cache_hits and model_cache_misses plus the model_cache_size
-// gauge (memoized-key count). A nil reg resolves the handles to nil,
+// gauge, the memoized-key count set whenever the cache grows. An
+// allocator's cache lives as long as the allocator, so on a warmed
+// allocator the gauge reads the bounded key space its searches reached,
+// not one search's share of it. A nil reg resolves the handles to nil,
 // keeping the disabled no-op path. Multiple caches instrumented against
-// one registry share the instruments (the counts aggregate).
+// one registry share the instruments: the counters aggregate, and the
+// gauge shows the cache that grew last (the strict and relaxed
+// allocators of one PA strategy, for instance).
 func (c *EstimateCache) Instrument(reg *obs.Registry) {
 	c.hits = reg.Counter("model_cache_hits")
 	c.misses = reg.Counter("model_cache_misses")

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -75,6 +76,46 @@ func validateServeExposition(t *testing.T, body []byte, where string) {
 	}
 }
 
+// placePinned sends the smoke's pinned /v1/place, each attempt under
+// its own X-Request-Id, and returns the ID of the acknowledged attempt.
+// Like the traffic before it, the place retries through backpressure:
+// with -chaos-mtbf 0.5 on 16 servers a shard can be momentarily full or
+// down, and 503 no-capacity is then the service's legitimate answer.
+// Retries honour Retry-After until deadline.
+func placePinned(t *testing.T, base string, deadline time.Time) string {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		id := fmt.Sprintf("req-metrics-smoke-pinned-%d", attempt)
+		req, _ := http.NewRequest("POST", base+"/v1/place",
+			strings.NewReader(`{"key":"smoke-pinned","class":"io","vms":1}`))
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Request-Id"); got != id {
+			t.Fatalf("pinned place: status %d echoed id %q, want %q", resp.StatusCode, got, id)
+		}
+		if resp.StatusCode == 200 {
+			return id
+		}
+		if resp.StatusCode != 429 && resp.StatusCode != 503 || time.Now().After(deadline) {
+			t.Fatalf("pinned place attempt %d: status %d %s", attempt, resp.StatusCode, body)
+		}
+		wait := 25 * time.Millisecond
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+			wait = time.Duration(secs) * time.Second
+		}
+		if rest := time.Until(deadline); wait > rest {
+			wait = rest
+		}
+		t.Logf("pinned place attempt %d: status %d %s; retrying in %v", attempt, resp.StatusCode, body, wait)
+		time.Sleep(wait)
+	}
+}
+
 func TestMetricsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("metrics smoke skipped in -short")
@@ -120,7 +161,6 @@ func TestMetricsSmoke(t *testing.T) {
 	// the fault schedule fires while requests are in flight.
 	cli := newSoakClient(t, base)
 	deadline := time.Now().Add(30 * time.Second)
-	const pinnedID = "req-metrics-smoke-pinned"
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("smoke-%d", i)
 		if !cli.place("smoke", key, 1+i%2, true, deadline) {
@@ -134,18 +174,7 @@ func TestMetricsSmoke(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	req, _ := http.NewRequest("POST", base+"/v1/place",
-		strings.NewReader(`{"key":"smoke-pinned","class":"io","vms":1}`))
-	req.Header.Set("X-Request-Id", pinnedID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || resp.Header.Get("X-Request-Id") != pinnedID {
-		t.Fatalf("pinned place: status %d id %q", resp.StatusCode, resp.Header.Get("X-Request-Id"))
-	}
+	pinnedID := placePinned(t, base, deadline)
 	if resp, err := http.Post(base+"/v1/place", "application/json",
 		strings.NewReader("{not json")); err == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -189,7 +218,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 
 	// Access log: every line is valid JSON with the required fields, and
-	// the pinned request ID appears exactly once.
+	// the acknowledged pinned request ID appears exactly once.
 	raw, err := os.ReadFile(accessPath)
 	if err != nil {
 		t.Fatal(err)

@@ -346,6 +346,9 @@ type shard struct {
 	idx      *strategy.FleetIndex
 	resident map[int]vmRes
 	scratch  []int
+	// views is the PA's placement-time view of the up servers, rebuilt
+	// in place for each placement (see upViewsLocked).
+	views []strategy.Server
 
 	paFull   *strategy.Proactive
 	paBudget *strategy.Proactive
@@ -953,15 +956,17 @@ func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time
 }
 
 // upViewsLocked builds the PA's placement-time view of the shard's up
-// servers; callers hold sh.smu.
+// servers into the shard's reused buffer; callers hold sh.smu and must
+// be done with the views before releasing it. The worker is the sole
+// mutator, so one buffer per shard suffices.
 func (sh *shard) upViewsLocked() []strategy.Server {
-	views := make([]strategy.Server, 0, sh.n)
+	sh.views = sh.views[:0]
 	for i := 0; i < sh.n; i++ {
 		if !sh.idx.Down(i) {
-			views = append(views, strategy.Server{ID: i, Alloc: sh.alloc[i]})
+			sh.views = append(sh.views, strategy.Server{ID: i, Alloc: sh.alloc[i]})
 		}
 	}
-	return views
+	return sh.views
 }
 
 // handleRequeue re-places one crash-evicted VM with first-fit —

@@ -451,20 +451,26 @@ func TestDecisionLogLadderAndSheds(t *testing.T) {
 	waitFor(t, "queued", func() bool { return s.queuedWork() == 1 })
 	s.Place("test", PlaceRequest{Key: "d-2", Class: "cpu", VMs: 1}) // queue-full shed
 	s.startWorkers()
-	waitFor(t, "drained", func() bool { return s.queuedWork() == 0 })
+	// The worker records d-1's place decision after dequeuing it, so an
+	// empty queue does not yet mean the decision is logged: wait for the
+	// decision itself.
 	var sawAdmit, sawShed, sawPlace bool
-	for _, d := range rec.Decisions() {
-		switch d.Kind {
-		case cloudsim.DecisionAdmit:
-			sawAdmit = true
-		case cloudsim.DecisionShed:
-			if d.Reason == cloudsim.RejectQueueFull {
-				sawShed = true
+	waitFor(t, "place decision", func() bool {
+		sawAdmit, sawShed, sawPlace = false, false, false
+		for _, d := range rec.Decisions() {
+			switch d.Kind {
+			case cloudsim.DecisionAdmit:
+				sawAdmit = true
+			case cloudsim.DecisionShed:
+				if d.Reason == cloudsim.RejectQueueFull {
+					sawShed = true
+				}
+			case cloudsim.DecisionPlace:
+				sawPlace = true
 			}
-		case cloudsim.DecisionPlace:
-			sawPlace = true
 		}
-	}
+		return sawPlace
+	})
 	if !sawAdmit || !sawShed || !sawPlace {
 		t.Fatalf("decision log missing kinds: admit=%v shed=%v place=%v", sawAdmit, sawShed, sawPlace)
 	}
