@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-serve cover trace clean
+.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-serve profile-search cover trace clean
 
 all: verify
 
@@ -97,13 +97,15 @@ metrics-smoke:
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
 # fuzz-smoke gives each text-input parser a short adversarial burst
-# (one package per invocation, as go test -fuzz requires).
+# (one package per invocation, as go test -fuzz requires), and the
+# allocator's search its equivalence check against AllocateReference.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s ./internal/swf
 	$(GO) test -fuzz FuzzReadSchedule -fuzztime 5s ./internal/faults
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 5s ./internal/model
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
+	$(GO) test -fuzz FuzzAllocateMatchesReference -fuzztime 5s ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -169,6 +171,18 @@ profile-serve:
 	$(GO) tool pprof -top -nodecount 25 serve.test.bin serve.cpu.out
 	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_space serve.test.bin serve.mem.out
 
+# profile-search profiles the allocator's partition search alone:
+# BenchmarkAllocateSmallerCloud (a warmed allocator on the paper's
+# 66-server SMALLER cloud, mixed 1-4 VM requests), with the top
+# consumers of CPU time and of allocated bytes printed. Artifacts:
+# search.cpu.out, search.mem.out + search.test.bin, inspect
+# interactively with `go tool pprof search.test.bin search.cpu.out`.
+profile-search:
+	$(GO) test -run NONE -bench 'BenchmarkAllocateSmallerCloud$$' -cpu 1 -benchmem \
+		-cpuprofile search.cpu.out -memprofile search.mem.out -o search.test.bin ./internal/core
+	$(GO) tool pprof -top -nodecount 25 search.test.bin search.cpu.out
+	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_space search.test.bin search.mem.out
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
@@ -181,5 +195,6 @@ trace:
 clean:
 	$(GO) clean ./...
 	rm -f cover.out huge.cpu.out huge.test.bin serve.cpu.out serve.mem.out serve.test.bin \
+		search.cpu.out search.mem.out search.test.bin \
 		explain-smoke.jsonl explain-smoke.txt
 	rm -rf serve-soak-artifacts

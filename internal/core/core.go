@@ -20,10 +20,10 @@
 // reductions keep the brute force cheap (see search.go): partitions whose
 // block structure is identical up to interchangeable VMs (same class,
 // nominal time and QoS bound) are evaluated once, servers whose current
-// allocation is identical are evaluated once per block, block pricings
-// are memoized per (server state, block composition), and candidates are
-// pruned online to the Pareto frontier the α-monotone score selects
-// from; larger searches additionally fan out to a worker pool. All of it
+// allocation is identical are priced once per block, database estimates
+// come from a dense per-Allocator table, and candidates are pruned
+// online to the Pareto frontier the α-monotone score selects from;
+// larger searches additionally fan out to a worker pool. All of it
 // is bit-for-bit equivalent to the literal serial transcription retained
 // as AllocateReference.
 package core
@@ -166,12 +166,12 @@ type Config struct {
 // concurrent use.
 type Allocator struct {
 	cfg Config
-	// est memoizes database estimates for the allocator's lifetime. The
-	// database is immutable, and the search only estimates allocations
-	// within MaxVMsPerServer and PerClassBound (a block's base is
-	// componentwise at most its grown allocation, which passed the
-	// bounds), so the cache holds under a hundred keys on the paper's
-	// clouds.
+	// est memoizes database estimates for the allocator's lifetime, in a
+	// dense table over the box of per-class counts
+	// min(PerClassBound[c], MaxVMsPerServer). The database is immutable,
+	// and the search only estimates allocations inside that box (a
+	// block's base is componentwise at most its grown allocation, which
+	// passed the bounds), under a hundred keys on the paper's clouds.
 	est *model.EstimateCache
 	tel searchTelemetry
 	// spare is one idle search context. A call takes it and puts it back
@@ -181,12 +181,11 @@ type Allocator struct {
 	spare atomic.Pointer[searchCtx]
 }
 
-// spareMapLimit bounds the map sizes a search context may keep as the
-// spare. Maps never shrink, so a rare large VM set (up to Bell(12)
-// partitions) would otherwise pin its dedup set and memo for the
-// allocator's lifetime and make every later clear() pay for their
-// capacity. Jobs of 1-4 VMs on the paper's 66-server cloud stay near
-// 120 memo entries and 15 partitions.
+// spareMapLimit bounds the partition dedup set a search context may
+// keep as the spare. Maps never shrink, so a rare large VM set (up to
+// Bell(12) partitions) would otherwise pin its dedup set for the
+// allocator's lifetime and make every later clear() pay for its
+// capacity. Jobs of 1-4 VMs keep at most 15 partitions.
 const spareMapLimit = 1 << 10
 
 // NewAllocator validates the configuration and returns an allocator.
@@ -223,7 +222,11 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cfg.PerClassBound[c] = cfg.MaxVMsPerServer
 		}
 	}
-	a := &Allocator{cfg: cfg, est: model.NewEstimateCache(cfg.DB), tel: newSearchTelemetry(cfg.Obs)}
+	var box model.Key
+	for _, c := range workload.Classes {
+		box = box.With(c, min(cfg.PerClassBound[c], cfg.MaxVMsPerServer))
+	}
+	a := &Allocator{cfg: cfg, est: model.NewEstimateCache(cfg.DB, box), tel: newSearchTelemetry(cfg.Obs)}
 	a.est.Instrument(cfg.Obs)
 	return a, nil
 }
@@ -241,7 +244,7 @@ func (a *Allocator) acquire(goal Goal, servers []ServerState, vms []VMRequest) *
 // release makes sc the spare once its call has materialized its answer,
 // dropping the caller's slices so the spare does not keep them alive.
 func (a *Allocator) release(sc *searchCtx) {
-	if len(sc.seen) > spareMapLimit || len(sc.blockMemo) > spareMapLimit {
+	if len(sc.seen) > spareMapLimit {
 		return
 	}
 	sc.servers, sc.vms = nil, nil
@@ -331,8 +334,8 @@ type SearchStats struct {
 //
 // The search is still the paper's exhaustive one, accelerated by exact
 // reductions only: equivalent partitions are deduplicated through a
-// canonical typed-multiset signature, block pricing is memoized per
-// (server state, block composition), dominated candidates are discarded
+// canonical typed-multiset signature, servers sharing an allocation are
+// priced once per block, dominated candidates are discarded
 // online (the α-weighted score is monotone in both estimated time and
 // energy, so the winner always lies on the Pareto frontier), and for
 // larger VM sets the partition stream fans out to a bounded worker

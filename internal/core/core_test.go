@@ -19,7 +19,7 @@ var (
 )
 
 // sharedDB builds one campaign database for the whole test package.
-func sharedDB(t *testing.T) *model.DB {
+func sharedDB(t testing.TB) *model.DB {
 	t.Helper()
 	dbOnce.Do(func() {
 		cfg := campaign.DefaultConfig()
@@ -42,7 +42,7 @@ func mkAllocator(t *testing.T) *Allocator {
 	return a
 }
 
-func refTime(t *testing.T, c workload.Class) units.Seconds {
+func refTime(t testing.TB, c workload.Class) units.Seconds {
 	return sharedDB(t).Aux().RefTime[c]
 }
 

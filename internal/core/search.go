@@ -9,11 +9,18 @@ package core
 //  1. Equivalent partitions (same typed multiset of block compositions)
 //     are deduplicated through a packed integer signature instead of the
 //     legacy sorted-string form; no per-partition string is ever built.
-//  2. Block pricing is memoized per (server state, block composition):
-//     the same block on the same effective allocation is priced once,
-//     not once per partition that contains it. Database estimates are
-//     additionally memoized per allocation key in the Allocator's
-//     model.EstimateCache, which lives as long as the Allocator.
+//  2. Each distinct server state is priced once per block. reset groups
+//     the servers by current allocation; a block then visits only each
+//     group's first untouched member plus the servers this partition
+//     already touched, in ascending index, and keeps the first server of
+//     every distinct effective allocation. Untouched twins of a group's
+//     first untouched member share its allocation, so the full scan's
+//     first-occurrence dedup would skip them anyway: the options, their
+//     order and the ε tie-break are those of the full scan. A block
+//     price is then two estimate reads and a loop over the block's VM
+//     types; the Allocator's model.EstimateCache is a dense table over
+//     the bounded allocation box, so a read is an index and a pointer
+//     load, with no hashing and no lock.
 //  3. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -33,6 +40,7 @@ package core
 // the unpruned enumeration would have used.
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -113,17 +121,9 @@ func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
 	return sig
 }
 
-// blockMemoKey identifies one priced (server state, block composition)
-// pair within a single search.
-type blockMemoKey struct {
-	base model.Key
-	sig  blockSig
-}
-
-// blockMemoVal is a memoized block pricing: the placement economics
-// minus the concrete VM identities (every block with the same signature
-// shares them).
-type blockMemoVal struct {
+// blockPrice is one block's pricing on one server state: the placement
+// economics minus the concrete VM identities.
+type blockPrice struct {
 	after  model.Key
 	time   units.Seconds
 	energy units.Joules
@@ -184,10 +184,10 @@ func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
 }
 
 // searchCtx is the state of one Allocate call: the VM type table, the
-// block memo (safe for concurrent workers), the partition dedup set and
-// the serial worker. An Allocator keeps one idle context as its spare
-// (Allocator.acquire/release), so its maps and scratch slices are reset
-// between calls instead of rebuilt.
+// server groups, the partition dedup set and the serial worker. An
+// Allocator keeps one idle context as its spare (Allocator.acquire/
+// release), so its map and scratch slices are reset between calls
+// instead of rebuilt.
 type searchCtx struct {
 	a *Allocator
 	*searchTelemetry
@@ -205,8 +205,13 @@ type searchCtx struct {
 	// atomic traffic joins the hot path.
 	stats SearchStats
 
-	blockMu   sync.RWMutex
-	blockMemo map[blockMemoKey]blockMemoVal
+	// groupHead lists, in first-occurrence order, the first server of
+	// each distinct current allocation; nextInGroup[si] is the next
+	// server, in ascending index, with the allocation of server si, or
+	// -1. groupTail is the build's scratch (last member so far).
+	groupHead   []int
+	groupTail   []int
+	nextInGroup []int
 
 	// seen is the partition-signature dedup set; only the sequential
 	// producer touches it.
@@ -220,17 +225,14 @@ func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMReques
 	sc := &searchCtx{
 		a:               a,
 		searchTelemetry: &a.tel,
-		blockMemo:       make(map[blockMemoKey]blockMemoVal),
 		seen:            make(map[partSig]struct{}),
 	}
 	sc.reset(goal, servers, vms)
 	return sc
 }
 
-// reset readies the context for one call. The memo is cleared every
-// time, not only when the VM set changes: a blockSig packs this call's
-// type ids, so an entry left by an earlier call would price a different
-// block under the same key.
+// reset readies the context for one call and groups the servers by
+// current allocation (see groupHead).
 func (sc *searchCtx) reset(goal Goal, servers []ServerState, vms []VMRequest) {
 	sc.goal, sc.servers, sc.vms = goal, servers, vms
 	sc.typeOf, sc.types = vmTypes(vms, sc.typeOf, sc.types)
@@ -238,63 +240,56 @@ func (sc *searchCtx) reset(goal Goal, servers []ServerState, vms []VMRequest) {
 	for _, rep := range sc.types {
 		sc.typeKey = append(sc.typeKey, model.KeyFor(rep.Class, 1))
 	}
+	sc.groupHead, sc.groupTail = sc.groupHead[:0], sc.groupTail[:0]
+	sc.nextInGroup = sc.nextInGroup[:0]
+group:
+	for si := range servers {
+		sc.nextInGroup = append(sc.nextInGroup, -1)
+		for g, head := range sc.groupHead {
+			if servers[head].Alloc == servers[si].Alloc {
+				sc.nextInGroup[sc.groupTail[g]] = si
+				sc.groupTail[g] = si
+				continue group
+			}
+		}
+		sc.groupHead = append(sc.groupHead, si)
+		sc.groupTail = append(sc.groupTail, si)
+	}
 	sc.stats = SearchStats{}
-	clear(sc.blockMemo)
 	clear(sc.seen)
 }
 
-// priceBlock prices adding a block of composition sig (total key
-// blockKey) to a server currently at base, memoized. The semantics are
-// those of Allocator.evalBlock restricted to the block's own VMs;
-// QoS of VMs already tentatively placed on the server is rechecked
-// per call by placedOK, because it depends on the partition prefix,
-// not on (base, sig).
-func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key) blockMemoVal {
-	k := blockMemoKey{base: base, sig: sig}
-	sc.blockMu.RLock()
-	v, ok := sc.blockMemo[k]
-	sc.blockMu.RUnlock()
-	if ok {
-		return v
-	}
-	// Compute outside the lock: the pricing is deterministic, so a
-	// concurrent duplicate computation stores an identical value.
-	v = sc.priceBlockUncached(base, sig, blockKey)
-	sc.blockMu.Lock()
-	sc.blockMemo[k] = v
-	sc.blockMu.Unlock()
-	return v
-}
-
-func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey model.Key) blockMemoVal {
+// priceBlock prices adding a block of the VM types in mask (total key
+// blockKey) to a server currently at base. The semantics are those of
+// Allocator.evalBlock restricted to the block's own VMs; QoS of VMs
+// already tentatively placed on the server is checked separately by
+// placedOK, because it depends on the partition prefix.
+func (sc *searchCtx) priceBlock(base model.Key, mask typeMask, blockKey model.Key) blockPrice {
 	cfg := &sc.a.cfg
 	after := base.Add(blockKey)
 	if after.Total() > cfg.MaxVMsPerServer {
-		return blockMemoVal{}
+		return blockPrice{}
 	}
 	for _, c := range workload.Classes {
 		if after.Count(c) > cfg.PerClassBound[c] {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 	}
 	recAfter, err := sc.a.est.Estimate(after)
 	if err != nil {
-		return blockMemoVal{}
+		return blockPrice{}
 	}
 	aux := cfg.DB.Aux()
 	var blockTime units.Seconds
-	for t := range sc.types {
-		if sig>>(4*blockSig(t))&0xF == 0 {
-			continue
-		}
-		rep := sc.types[t]
+	for ; mask != 0; mask &= mask - 1 {
+		rep := sc.types[bits.TrailingZeros16(uint16(mask))]
 		ref := aux.RefTime[rep.Class]
 		if ref <= 0 {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		est := recAfter.ClassTime(rep.Class) * rep.NominalTime / ref
 		if !cfg.RelaxQoS && rep.MaxTime > 0 && est > rep.MaxTime {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		if est > blockTime {
 			blockTime = est
@@ -306,7 +301,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 	if !base.IsZero() {
 		recBefore, err := sc.a.est.Estimate(base)
 		if err != nil {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		beforeEnergy = recBefore.Energy
 	}
@@ -314,7 +309,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 	if deltaE < 0 {
 		deltaE = 0
 	}
-	return blockMemoVal{after: after, time: blockTime, energy: deltaE, ok: true}
+	return blockPrice{after: after, time: blockTime, energy: deltaE, ok: true}
 }
 
 // placedOK rechecks the QoS bounds of VM types already tentatively
@@ -357,7 +352,9 @@ type searchWorker struct {
 	mask    []typeMask  // tentatively placed VM types per server index
 	touched []int
 
-	// Per-block scratch.
+	// Per-block scratch: the servers to visit and the effective
+	// allocations already priced.
+	visit     []int
 	seenBases []model.Key
 	options   []blockOption
 	places    []blockPlace
@@ -378,7 +375,7 @@ type searchWorker struct {
 
 type blockOption struct {
 	serverIdx int
-	val       blockMemoVal
+	val       blockPrice
 }
 
 func (sc *searchCtx) newWorker() *searchWorker {
@@ -387,8 +384,9 @@ func (sc *searchCtx) newWorker() *searchWorker {
 		extra:     make([]model.Key, len(sc.servers)),
 		mask:      make([]typeMask, len(sc.servers)),
 		touched:   make([]int, 0, len(sc.vms)),
-		seenBases: make([]model.Key, 0, len(sc.servers)),
-		options:   make([]blockOption, 0, len(sc.servers)),
+		visit:     make([]int, 0, len(sc.groupHead)+len(sc.vms)),
+		seenBases: make([]model.Key, 0, len(sc.groupHead)+len(sc.vms)),
+		options:   make([]blockOption, 0, len(sc.groupHead)+len(sc.vms)),
 		places:    make([]blockPlace, 0, len(sc.vms)),
 	}
 }
@@ -411,6 +409,7 @@ func (sc *searchCtx) serialWorker() *searchWorker {
 		extra:     append(w.extra[:0], make([]model.Key, n)...),
 		mask:      append(w.mask[:0], make([]typeMask, n)...),
 		touched:   w.touched[:0],
+		visit:     w.visit[:0],
 		seenBases: w.seenBases[:0],
 		options:   w.options[:0],
 		places:    w.places[:0],
@@ -494,7 +493,8 @@ func copyBlocks(blocks [][]int) [][]int {
 // implementation exactly: servers with identical effective allocation
 // collapse to the first of each group, options are max-normalized
 // within the block, and the α-scored minimum wins with the epsilon
-// tie-break to the lower server index.
+// tie-break to the lower server index. Only the servers visitServers
+// lists are scanned; the rest are later twins of a listed server.
 func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	sc := w.sc
 	alpha := sc.goal.Alpha
@@ -506,19 +506,17 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	w.places = w.places[:0]
 
 	for _, block := range blocks {
-		var sig blockSig
 		var blockKey model.Key
 		var bmask typeMask
 		for _, vi := range block {
 			t := sc.typeOf[vi]
-			sig += 1 << (4 * blockSig(t))
 			blockKey = blockKey.Add(sc.typeKey[t])
 			bmask |= 1 << t
 		}
 
 		w.seenBases = w.seenBases[:0]
 		w.options = w.options[:0]
-		for si := range sc.servers {
+		for _, si := range w.visitServers() {
 			base := sc.servers[si].Alloc.Add(w.extra[si])
 			dup := false
 			for _, b := range w.seenBases {
@@ -531,7 +529,7 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 				continue
 			}
 			w.seenBases = append(w.seenBases, base)
-			v := sc.priceBlock(base, sig, blockKey)
+			v := sc.priceBlock(base, bmask, blockKey)
 			if !v.ok || !sc.placedOK(v.after, w.mask[si]) {
 				continue
 			}
@@ -583,6 +581,34 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 		})
 	}
 	return true
+}
+
+// visitServers lists, in ascending index, the servers whose pricing can
+// differ within the current partition: each group's first member not
+// yet touched by the partition, and every touched server. An untouched
+// server later in its group has the same effective allocation as the
+// group's first untouched member, so the first-occurrence dedup of a
+// full scan would skip it. The list is valid until the next call.
+func (w *searchWorker) visitServers() []int {
+	sc := w.sc
+	w.visit = w.visit[:0]
+	for _, si := range sc.groupHead {
+		for si >= 0 && w.mask[si] != 0 {
+			si = sc.nextInGroup[si]
+		}
+		if si >= 0 {
+			w.visit = append(w.visit, si)
+		}
+	}
+	w.visit = append(w.visit, w.touched...)
+	// Insertion sort: group heads arrive ascending, so only a touched
+	// head's successor and the few touched servers move.
+	for i := 1; i < len(w.visit); i++ {
+		for j := i; j > 0 && w.visit[j-1] > w.visit[j]; j-- {
+			w.visit[j-1], w.visit[j] = w.visit[j], w.visit[j-1]
+		}
+	}
+	return w.visit
 }
 
 // search enumerates the deduplicated partitions of the VM set and

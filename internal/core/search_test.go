@@ -31,7 +31,7 @@ func randomFleet(r *rng.Stream, nServers int) []ServerState {
 
 // randomVMs builds n VM requests with attributes drawn from small pools
 // so that some VMs are interchangeable and some are not.
-func randomVMs(t *testing.T, r *rng.Stream, n int) []VMRequest {
+func randomVMs(t testing.TB, r *rng.Stream, n int) []VMRequest {
 	t.Helper()
 	factors := []float64{1, 1, 1.25, 1.5}
 	vms := make([]VMRequest, n)

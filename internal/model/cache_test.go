@@ -9,7 +9,7 @@ import (
 
 func TestEstimateCacheMatchesDB(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, Key{6, 6, 6})
 	if c.DB() != db {
 		t.Fatal("DB() does not return the wrapped database")
 	}
@@ -18,7 +18,8 @@ func TestEstimateCacheMatchesDB(t *testing.T) {
 		{NCPU: 2, NMEM: 2, NIO: 2},
 		{NCPU: 1, NMEM: 1, NIO: 1},
 		{NCPU: 6},          // grid edge
-		{NCPU: 9, NMEM: 9}, // off grid → extrapolation or error, either way memoized
+		{NCPU: 6, NMEM: 6}, // off grid, in the box → extrapolated and memoized
+		{NCPU: 9, NMEM: 9}, // outside the box → estimated, not memoized
 	}
 	// Query twice: the second pass must serve hits identical to the
 	// uncached database, errors included.
@@ -34,8 +35,47 @@ func TestEstimateCacheMatchesDB(t *testing.T) {
 			}
 		}
 	}
-	if c.Len() != len(keys) {
-		t.Errorf("cache holds %d entries, want %d", c.Len(), len(keys))
+	if c.Len() != len(keys)-1 {
+		t.Errorf("cache holds %d entries, want the %d keys inside the box", c.Len(), len(keys)-1)
+	}
+}
+
+// TestEstimateCacheOutsideBox checks that keys outside the box, above
+// it or negative, are answered by the database, counted as misses every
+// time and never memoized, and that a box side past the cap still
+// answers every key.
+func TestEstimateCacheOutsideBox(t *testing.T) {
+	db := gridDB(t, 6)
+	c := NewEstimateCache(db, Key{2, 1, -3})
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	outside := []Key{{NCPU: 3}, {NMEM: 2}, {NIO: 1}, {NCPU: -1, NMEM: 1}}
+	for pass := 0; pass < 2; pass++ {
+		for _, k := range outside {
+			want, wantErr := db.Estimate(k)
+			got, gotErr := c.Estimate(k)
+			if (gotErr == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("key %v: (%+v, %v), want (%+v, %v)", k, got, gotErr, want, wantErr)
+			}
+		}
+	}
+	if _, err := c.Estimate(Key{NCPU: 2, NMEM: 1}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if hits, misses := snap.Counters["model_cache_hits"], snap.Counters["model_cache_misses"]; hits != 0 || misses != int64(2*len(outside)+1) {
+		t.Errorf("hits=%d misses=%d, want 0 and %d", hits, misses, 2*len(outside)+1)
+	}
+	if c.Len() != 1 || snap.Gauges["model_cache_size"] != 1 {
+		t.Errorf("Len()=%d gauge=%d, want only the in-box key memoized", c.Len(), snap.Gauges["model_cache_size"])
+	}
+
+	huge := NewEstimateCache(db, Key{1 << 20, 1 << 20, 1 << 20})
+	for _, k := range []Key{{NCPU: 6}, {NCPU: 40, NMEM: 1}} {
+		want, _ := db.Estimate(k)
+		if got, err := huge.Estimate(k); err != nil || got != want {
+			t.Errorf("capped box, key %v: (%+v, %v), want %+v", k, got, err, want)
+		}
 	}
 }
 
@@ -46,7 +86,7 @@ func TestEstimateCacheMatchesDB(t *testing.T) {
 // must settle on the final key count.
 func TestEstimateCacheInstrumentedConcurrent(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, Key{6, 6, 6})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	const workers, perWorker = 8, 500
@@ -84,7 +124,7 @@ func TestEstimateCacheInstrumentedConcurrent(t *testing.T) {
 
 func TestEstimateCacheConcurrent(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, Key{6, 6, 6})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -46,27 +46,35 @@ func Bell(n int) uint64 {
 // RGS order. The zero value is not usable; construct with NewGenerator.
 type Generator struct {
 	n     int
-	a     []int // restricted growth string
-	b     []int // b[i] = 1 + max(a[0..i-1]); b[0] = 1
+	a     [MaxN]int // restricted growth string
+	b     [MaxN]int // b[i] = 1 + max(a[0..i-1]); b[0] = 1
 	first bool
 	done  bool
 }
 
 // NewGenerator returns a generator over partitions of n elements.
 func NewGenerator(n int) (*Generator, error) {
-	if n < 1 || n > MaxN {
-		return nil, fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN)
-	}
-	g := &Generator{n: n, a: make([]int, n), b: make([]int, n), first: true}
-	for i := range g.b {
-		g.b[i] = 1
+	g := new(Generator)
+	if err := g.init(n); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
+func (g *Generator) init(n int) error {
+	if n < 1 || n > MaxN {
+		return fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN)
+	}
+	*g = Generator{n: n, first: true}
+	for i := range g.n {
+		g.b[i] = 1
+	}
+	return nil
+}
+
 // Next advances to the next partition and reports whether one exists. The
-// first call yields the single-block partition {{0,…,n−1}}… actually the
-// all-zeros RGS, which is the one-block partition.
+// first call yields the all-zeros RGS, the one-block partition
+// {{0,…,n−1}}.
 func (g *Generator) Next() bool {
 	if g.done {
 		return false
@@ -97,29 +105,35 @@ func (g *Generator) Next() bool {
 
 // RGS returns the current restricted growth string. The slice is the
 // generator's buffer; callers must copy it to retain it across Next.
-func (g *Generator) RGS() []int { return g.a }
+func (g *Generator) RGS() []int { return g.a[:g.n] }
 
 // Blocks materializes the current partition as a list of blocks, each a
 // sorted list of element indices, ordered by block index (first
 // occurrence order). The blocks share one freshly allocated backing
 // array per call, so retaining the result across Next is safe.
 func (g *Generator) Blocks() [][]int {
+	return g.fillBlocks(make([][]int, 0, g.n), make([]int, g.n))
+}
+
+// fillBlocks builds the current partition's blocks into blocks[:0],
+// carving them from flat (len ≥ n). Each block's capacity ends at its
+// own last element, so appending to one never overwrites a sibling.
+func (g *Generator) fillBlocks(blocks [][]int, flat []int) [][]int {
 	nblocks := 0
 	var sizes [MaxN]int
-	for _, v := range g.a {
+	for _, v := range g.a[:g.n] {
 		sizes[v]++
 		if v+1 > nblocks {
 			nblocks = v + 1
 		}
 	}
-	flat := make([]int, g.n)
-	blocks := make([][]int, nblocks)
+	blocks = blocks[:0]
 	off := 0
 	for b := 0; b < nblocks; b++ {
-		blocks[b] = flat[off : off : off+sizes[b]]
+		blocks = append(blocks, flat[off:off:off+sizes[b]])
 		off += sizes[b]
 	}
-	for i, v := range g.a {
+	for i, v := range g.a[:g.n] {
 		blocks[v] = append(blocks[v], i)
 	}
 	return blocks
@@ -139,16 +153,22 @@ func ForEach(n int, fn func(blocks [][]int) bool) (int, error) {
 // tie-breaks survive an out-of-order reduce. The callback returns false
 // to stop early; ForEachIndexed reports the number of partitions
 // visited.
+//
+// Every call of the callback receives the same two buffers, the block
+// list and the backing array its blocks share, rebuilt for each
+// partition: the blocks are valid only during the call, and a callback
+// that keeps a partition must copy it.
 func ForEachIndexed(n int, fn func(idx int, blocks [][]int) bool) (int, error) {
-	g, err := NewGenerator(n)
-	if err != nil {
+	var g Generator
+	if err := g.init(n); err != nil {
 		return 0, err
 	}
+	blocks, flat := make([][]int, 0, n), make([]int, n)
 	count := 0
 	for g.Next() {
 		idx := count
 		count++
-		if !fn(idx, g.Blocks()) {
+		if !fn(idx, g.fillBlocks(blocks, flat)) {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -341,6 +342,37 @@ func TestBlocksAreIndependent(t *testing.T) {
 					t.Fatalf("append to one block corrupted block %d", i)
 				}
 			}
+		}
+	}
+}
+
+// TestForEachIndexedMatchesBlocks checks the reused buffers ForEachIndexed
+// hands its callback against the safe-to-retain Blocks of a generator
+// stepped in lockstep, including after the callback appended to every
+// block of the previous partition.
+func TestForEachIndexedMatchesBlocks(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		g, err := NewGenerator(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ForEachIndexed(n, func(idx int, blocks [][]int) bool {
+			if !g.Next() {
+				t.Fatalf("n=%d: generator ended before index %d", n, idx)
+			}
+			if want := g.Blocks(); !reflect.DeepEqual(blocks, want) {
+				t.Fatalf("n=%d index %d: blocks %v, want %v", n, idx, blocks, want)
+			}
+			for i := range blocks {
+				blocks[i] = append(blocks[i], 99)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Next() {
+			t.Errorf("n=%d: ForEachIndexed stopped before the generator", n)
 		}
 	}
 }

@@ -13,9 +13,10 @@ package swf
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -189,8 +190,8 @@ func Merge(traces ...*Trace) *Trace {
 		}
 		out.Jobs = append(out.Jobs, tr.Jobs...)
 	}
-	sort.SliceStable(out.Jobs, func(i, j int) bool {
-		return out.Jobs[i].SubmitTime < out.Jobs[j].SubmitTime
+	slices.SortStableFunc(out.Jobs, func(a, b Job) int {
+		return cmp.Compare(a.SubmitTime, b.SubmitTime)
 	})
 	for i := range out.Jobs {
 		out.Jobs[i].JobNumber = i + 1
