@@ -97,8 +97,10 @@ metrics-smoke:
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
 # fuzz-smoke gives each text-input parser a short adversarial burst
-# (one package per invocation, as go test -fuzz requires), and the
-# allocator's search its equivalence check against AllocateReference.
+# (one package per invocation, as go test -fuzz requires), the
+# allocator's search its equivalence check against AllocateReference,
+# and the service's streamed snapshot and journal encoders theirs
+# against encoding/json.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s ./internal/swf
 	$(GO) test -fuzz FuzzReadSchedule -fuzztime 5s ./internal/faults
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
 	$(GO) test -fuzz FuzzAllocateMatchesReference -fuzztime 5s ./internal/core
+	$(GO) test -fuzz FuzzSnapshotMatchesEncodingJSON -fuzztime 5s ./internal/serve
 
 vet:
 	$(GO) vet ./...

@@ -9,8 +9,11 @@ package serve
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"pacevm/internal/workload"
 )
 
 func benchConfig(b *testing.B) Config {
@@ -65,5 +68,55 @@ func benchServe(b *testing.B, cfg Config) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	if v := s.Drain(30 * time.Second); len(v) != 0 {
 		b.Fatalf("drain left %d violations; first: %+v", len(v), v[0])
+	}
+}
+
+// BenchmarkSnapshot times one periodic snapshot, fsync included, of a
+// service holding n placements (1-4 VMs each, a tenth released):
+// "stream" is writeSnapshot; "json" is the encoding/json writer it
+// replaced (copy and sort every placement, marshal, marshal again
+// inside the wrapper), kept as the test oracle.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, n := range []int{1000, 10000, 40000} {
+		cfg := benchConfig(b)
+		cfg.SnapshotPath = filepath.Join(b.TempDir(), "state.snap")
+		s, err := newService(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		classes := [...]workload.Class{workload.ClassCPU, workload.ClassMEM, workload.ClassIO}
+		for i := 0; i < n; i++ {
+			vms := 1 + i%4
+			pl := &placement{
+				Key: fmt.Sprintf("u-%d", i), Job: i, Class: classes[i%3], NominalS: 600,
+				Shard: i % cfg.Shards, Released: i%10 == 0, Level: i % 3, WaitMS: float64(i%97) * 0.137,
+			}
+			for v := 0; v < vms; v++ {
+				pl.Servers = append(pl.Servers, (i+v)%cfg.Servers)
+				pl.VMIDs = append(pl.VMIDs, s.nextVMID)
+				s.nextVMID++
+			}
+			s.byKey[pl.Key] = pl
+		}
+		oracle := filepath.Join(b.TempDir(), "oracle.snap")
+		b.Run(fmt.Sprintf("stream/%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.writeSnapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("json/%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeSnapshotFileJSON(oracle, capturePayload(s)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if err := s.j.close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,21 +12,24 @@ package serve
 // (the write the crash interrupted) is discarded on replay — by
 // construction no client holds its acknowledgement.
 //
-// Snapshots bound replay: a versioned, CRC-32-checksummed JSON document
-// written via tmp+rename carries the full service state (occupancy as
-// live placements, down servers, the in-flight queue) at journal
-// sequence Seq; restore loads the snapshot, replays only journal
-// records with seq > Seq, then runs every watchdog invariant before
-// serving. After a successful snapshot the journal is truncated under
-// its lock, so it holds only the records the next restore needs.
+// Snapshots bound replay: a versioned, CRC-32-checksummed JSON document,
+// streamed from live state and written via tmp+rename, carries the full
+// service state (occupancy as live placements, down servers, the
+// in-flight queue) at journal sequence Seq; restore loads the snapshot,
+// replays only journal records with seq > Seq, then runs every watchdog
+// invariant before serving. After a successful snapshot the journal is
+// truncated under its lock, so it holds only the records the next
+// restore needs.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -56,6 +59,8 @@ type jrec struct {
 	VMIDs    []int   `json:"vm_ids,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
 	Relaxed  bool    `json:"relaxed,omitempty"`
+	Level    int     `json:"level,omitempty"`   // ladder level it was placed at
+	WaitMS   float64 `json:"wait_ms,omitempty"` // its queue wait
 	// Crash / recover: the global server. Requeue: the new server.
 	Server int `json:"server,omitempty"`
 	// Requeue: which VM of the placement moved.
@@ -73,14 +78,16 @@ type evictRec struct {
 }
 
 // journal is the append-side handle. seq is the last assigned sequence
-// number; records are written one JSON line at a time directly to the
-// fd (no userspace buffering), so a kill -9 after append loses nothing
-// the OS accepted, and Fsync extends that to machine crashes.
+// number; each record is encoded into buf and written as one JSON line
+// directly to the fd (no userspace buffering), so a kill -9 after
+// append loses nothing the OS accepted, and Fsync extends that to
+// machine crashes.
 type journal struct {
 	mu    sync.Mutex
 	f     *os.File
 	seq   int
 	fsync bool
+	buf   []byte // the record being written; reused under mu
 }
 
 // openJournal opens (creating if absent) the journal for appending,
@@ -114,11 +121,11 @@ func (j *journal) append(r *jrec) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r.Seq = j.seq + 1
-	b, err := json.Marshal(r)
+	b, err := appendJrec(j.buf[:0], r)
 	if err != nil {
 		return 0, err
 	}
-	b = append(b, '\n')
+	j.buf = b
 	if _, err := j.f.Write(b); err != nil {
 		return 0, err
 	}
@@ -217,6 +224,8 @@ type snapPlacement struct {
 	Released bool    `json:"released,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
 	Relaxed  bool    `json:"relaxed,omitempty"`
+	Level    int     `json:"level,omitempty"`
+	WaitMS   float64 `json:"wait_ms,omitempty"`
 }
 
 // snapPending is one queued (or parked) request in a snapshot: admitted
@@ -249,37 +258,71 @@ type snapPayload struct {
 }
 
 // snapFile is the on-disk wrapper: version, CRC-32 (IEEE) of the raw
-// payload bytes, payload.
+// payload bytes, payload. writeSnapshotFile emits the fields in the
+// order version, payload, crc32, so the checksum can follow the
+// streamed payload; older files put crc32 before the payload, and the
+// reader takes either order.
 type snapFile struct {
 	Version int             `json:"version"`
 	CRC     uint32          `json:"crc32"`
 	Payload json.RawMessage `json:"payload"`
 }
 
-// writeSnapshotFile writes the snapshot atomically: marshal, checksum,
-// write to a same-directory temp file, fsync, rename over the target.
-// A crash at any point leaves either the old snapshot or the new one,
-// never a torn file.
-func writeSnapshotFile(path string, p *snapPayload) error {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return err
+// snapBufSize is the snapshot writer's one buffer: the payload streams
+// through it, so no snapshot-sized buffer is ever held. Encoded
+// elements gather in a chunk of about snapChunk bytes before they are
+// checksummed and copied into it.
+const (
+	snapBufSize = 64 << 10
+	snapChunk   = 4 << 10
+)
+
+// snapWriter carries a streamed snapshot payload to its file, folding
+// every payload byte into the CRC on the way.
+type snapWriter struct {
+	w   *bufio.Writer
+	crc uint32
+	buf []byte // the chunk being encoded
+}
+
+// flush moves the encoded bytes in *b to the file once they fill a
+// chunk, or whatever they are when all is set, and empties *b.
+func (sw *snapWriter) flush(b *[]byte, all bool) error {
+	if !all && len(*b) < snapChunk {
+		return nil
 	}
-	doc, err := json.Marshal(snapFile{Version: snapshotVersion, CRC: crc32.ChecksumIEEE(raw), Payload: raw})
-	if err != nil {
-		return err
-	}
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, *b)
+	_, err := sw.w.Write(*b)
+	*b = (*b)[:0]
+	return err
+}
+
+// writeSnapshotFile writes a snapshot atomically: payload streams the
+// payload into a same-directory temp file, wrapped as
+// {"version":1,"payload":...,"crc32":N}; the file is fsynced, renamed
+// over the target, and the directory fsynced. A crash at any point
+// leaves either the old snapshot or the new one, never a torn file.
+func writeSnapshotFile(path string, payload func(*snapWriter) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(doc, '\n')); err != nil {
-		tmp.Close()
-		return err
+	sw := &snapWriter{w: bufio.NewWriterSize(tmp, snapBufSize), buf: make([]byte, 0, snapChunk+512)}
+	// A bufio.Writer's first error sticks, and Flush reports it, so
+	// the wrapper writes need no checks of their own.
+	_, _ = sw.w.WriteString(`{"version":` + strconv.Itoa(snapshotVersion) + `,"payload":`)
+	err = payload(sw)
+	if err == nil {
+		tail := strconv.AppendUint(append(sw.buf[:0], `,"crc32":`...), uint64(sw.crc), 10)
+		_, _ = sw.w.Write(append(tail, "}\n"...))
+		err = sw.w.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}

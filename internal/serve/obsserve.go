@@ -225,20 +225,21 @@ func (a *accessLogger) log(rt *obs.ReqTrace, client, route, outcome, level strin
 // servePromHelp is the HELP text for the serve metric families on
 // /metrics.
 var servePromHelp = map[string]string{
-	"serve_requests_total":      "Data-plane requests received.",
-	"serve_placements_total":    "Placements committed.",
-	"serve_replays_total":       "Idempotent replays answered from memory.",
-	"serve_releases_total":      "Placements released.",
-	"serve_shed_total":          "Requests shed by admission control.",
-	"serve_rejects_total":       "Requests rejected for capacity.",
-	"serve_requeues_total":      "Crash-evicted VMs re-placed.",
-	"serve_snapshots_total":     "State snapshots written.",
-	"serve_crashes_total":       "Server crash events processed.",
-	"serve_recovers_total":      "Server recover events processed.",
-	"serve_degradation_level":   "Current degradation ladder level (0 full ... 3 shed).",
-	"serve_queue_wait_seconds":  "Shard-queue wait at dequeue.",
-	"serve_stage_seconds":       "Per-stage request pipeline latency.",
-	"serve_request_seconds":     "End-to-end request latency by outcome and ladder level.",
-	"serve_ladder_steps_total":  "Degradation ladder level changes.",
-	"serve_watchdog_runs_total": "Invariant watchdog sweeps.",
+	"serve_requests_total":       "Data-plane requests received.",
+	"serve_placements_total":     "Placements committed.",
+	"serve_replays_total":        "Idempotent replays answered from memory.",
+	"serve_releases_total":       "Placements released.",
+	"serve_shed_total":           "Requests shed by admission control.",
+	"serve_rejects_total":        "Requests rejected for capacity.",
+	"serve_requeues_total":       "Crash-evicted VMs re-placed.",
+	"serve_snapshots_total":      "State snapshots written.",
+	"serve_crashes_total":        "Server crash events processed.",
+	"serve_recovers_total":       "Server recover events processed.",
+	"serve_journal_errors_total": "Durability failures no client was told of: failed snapshots (op=snapshot) and journal appends dropped by the crash, recover and requeue handlers (op=append).",
+	"serve_degradation_level":    "Current degradation ladder level (0 full ... 3 shed).",
+	"serve_queue_wait_seconds":   "Shard-queue wait at dequeue.",
+	"serve_stage_seconds":        "Per-stage request pipeline latency.",
+	"serve_request_seconds":      "End-to-end request latency by outcome and ladder level.",
+	"serve_ladder_steps_total":   "Degradation ladder level changes.",
+	"serve_watchdog_runs_total":  "Invariant watchdog sweeps.",
 }

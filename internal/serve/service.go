@@ -24,8 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,6 +383,10 @@ type Service struct {
 
 	shards []*shard
 
+	// mu guards the maps and counters below. byKey, the placements in
+	// it, nextVMID and lastSeq are written only while the owning shard's
+	// smu is held as well, which lets the snapshot writer read them
+	// under every smu without mu.
 	mu          sync.Mutex
 	byKey       map[string]*placement
 	pendingKeys map[string]struct{}
@@ -402,7 +408,11 @@ type Service struct {
 	mSnapshots *obs.Counter
 	mCrashes   *obs.Counter
 	mRecovers  *obs.Counter
-	qWait      *obs.Quantile
+	// Durability failures no client is told about: a failed snapshot,
+	// and a journal append the crash, recover or requeue handler drops.
+	mSnapErrs   *obs.Counter
+	mAppendErrs *obs.Counter
+	qWait       *obs.Quantile
 }
 
 // NewService builds the service, optionally restoring from a snapshot +
@@ -452,6 +462,8 @@ func newService(cfg Config) (*Service, error) {
 	s.mSnapshots = s.reg.Counter("serve_snapshots_total")
 	s.mCrashes = s.reg.Counter("serve_crashes_total")
 	s.mRecovers = s.reg.Counter("serve_recovers_total")
+	s.mSnapErrs = s.reg.Counter(obs.SeriesName("serve_journal_errors_total", "op", "snapshot"))
+	s.mAppendErrs = s.reg.Counter(obs.SeriesName("serve_journal_errors_total", "op", "append"))
 	s.qWait = s.reg.Quantile("serve_queue_wait_seconds")
 
 	ff, err := strategy.NewFirstFit(cfg.MaxVMsPerServer / strategy.CPUSlotsPerServer)
@@ -618,6 +630,14 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 	if req.VMs < 1 || req.VMs > maxJobVMs {
 		rt.StageEnd(stageDecode)
 		return Outcome{Status: 400, Reason: fmt.Sprintf("vms %d out of [1,%d]", req.VMs, maxJobVMs)}
+	}
+	if math.IsNaN(req.NominalS) || math.IsInf(req.NominalS, 0) {
+		rt.StageEnd(stageDecode)
+		return Outcome{Status: 400, Reason: fmt.Sprintf("nominal_s %v is not finite", req.NominalS)}
+	}
+	if math.IsNaN(req.MaxResponseS) || math.IsInf(req.MaxResponseS, 0) || req.MaxResponseS < 0 {
+		rt.StageEnd(stageDecode)
+		return Outcome{Status: 400, Reason: fmt.Sprintf("max_response_s %v must be finite and >= 0", req.MaxResponseS)}
 	}
 	class, err := parseClass(req.Class)
 	rt.StageEnd(stageDecode)
@@ -899,6 +919,7 @@ func (sh *shard) handlePlace(p *pending) {
 		Kind: jPlace, Key: pl.Key, Job: pl.Job, Class: pl.Class.String(),
 		NominalS: pl.NominalS, MaxS: pl.MaxS,
 		Servers: globals, VMIDs: ids, Degraded: pl.Degraded, Relaxed: pl.Relaxed,
+		Level: pl.Level, WaitMS: pl.WaitMS,
 	})
 	p.rt.StageEnd(stageJournal)
 	if err != nil {
@@ -997,6 +1018,7 @@ func (sh *shard) handleRequeue(p *pending) {
 	seq, err := s.j.append(&jrec{Kind: jRequeue, Key: p.key, Slot: p.slot, VMID: p.vmID, Server: g})
 	if err != nil {
 		sh.smu.Unlock()
+		s.mAppendErrs.Inc()
 		sh.park(p)
 		return
 	}
@@ -1074,6 +1096,7 @@ func (sh *shard) handleCrash(local int) {
 	seq, err := s.j.append(&jrec{Kind: jCrash, Server: g, Evict: evicts})
 	if err != nil {
 		sh.smu.Unlock()
+		s.mAppendErrs.Inc()
 		return
 	}
 	s.applyCrash(g, evicts, seq)
@@ -1113,6 +1136,7 @@ func (sh *shard) handleRecover(local int) {
 	seq, err := s.j.append(&jrec{Kind: jRecover, Server: g})
 	if err != nil {
 		sh.smu.Unlock()
+		s.mAppendErrs.Inc()
 		return
 	}
 	s.applyRecover(g, seq)
@@ -1289,7 +1313,7 @@ func (s *Service) runTickers() {
 		case <-wdC:
 			s.wd.RunChecks(s.wallT())
 		case <-snapC:
-			_ = s.writeSnapshot()
+			s.snapshot()
 		}
 	}
 }
@@ -1318,68 +1342,95 @@ func (s *Service) ladderTick() {
 
 // ---- snapshotting ----
 
-// captureLocked assembles a consistent snapshot payload. Callers hold
-// every shard's smu; with those held there is no appended-but-unapplied
-// journal record, so lastSeq names the state exactly.
-func (s *Service) captureLocked() *snapPayload {
-	for _, sh := range s.shards {
-		sh.qmu.Lock()
-	}
-	s.mu.Lock()
-
-	p := &snapPayload{
-		Seq: s.lastSeq, NextVMID: s.nextVMID,
-		Servers: s.cfg.Servers, Shards: s.cfg.Shards, MaxVMs: s.cfg.MaxVMsPerServer,
-	}
+// streamPayload writes the snapshot payload straight from live state.
+// Callers hold every shard's smu, so no journal record is appended but
+// not yet applied, and lastSeq names the state exactly. byKey, the
+// placements in it, nextVMID and lastSeq change only under the owning
+// shard's smu (the apply functions and handlePlace), so with every smu
+// held they are read without Service.mu, and admission's idempotency
+// check keeps answering while the snapshot is written. The queues are
+// read under every shard's qmu. Placement order is unspecified.
+func (s *Service) streamPayload(sw *snapWriter) error {
+	o := objEnc{b: sw.buf[:0]}
+	o.int(`{"seq":`, s.lastSeq)
+	o.int(`,"next_vm_id":`, s.nextVMID)
+	o.int(`,"servers":`, s.cfg.Servers)
+	o.int(`,"shards":`, s.cfg.Shards)
+	o.int(`,"max_vms":`, s.cfg.MaxVMsPerServer)
+	n := 0
 	for _, sh := range s.shards {
 		for i := 0; i < sh.n; i++ {
 			if sh.idx.Down(i) {
-				p.Down = append(p.Down, sh.base+i)
+				o.elem(`,"down":[`, n)
+				o.b = strconv.AppendInt(o.b, int64(sh.base+i), 10)
+				n++
 			}
 		}
 	}
-	keys := make([]string, 0, len(s.byKey))
-	for k := range s.byKey {
-		keys = append(keys, k)
+	if n > 0 {
+		o.b = append(o.b, ']')
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pl := s.byKey[k]
-		p.Placements = append(p.Placements, snapPlacement{
-			Key: pl.Key, Job: pl.Job, Class: pl.Class.String(),
-			NominalS: pl.NominalS, MaxS: pl.MaxS, Shard: pl.Shard,
-			Servers: append([]int(nil), pl.Servers...), VMIDs: append([]int(nil), pl.VMIDs...),
-			Released: pl.Released, Degraded: pl.Degraded, Relaxed: pl.Relaxed,
-		})
+	if err := s.streamQueue(sw, &o); err != nil {
+		return err
 	}
-	for _, sh := range s.shards {
-		for _, q := range sh.pend {
-			p.Queue = append(p.Queue, snapPending{
-				Key: q.key, Job: q.job, Class: q.class.String(), VMs: q.vms,
-				NominalS: q.nominalS, MaxS: q.maxS, Shard: sh.id,
-			})
+	o.b = append(o.b, `,"placements":[`...)
+	n = 0
+	for _, pl := range s.byKey {
+		if n > 0 {
+			o.b = append(o.b, ',')
 		}
-		for _, q := range sh.parked {
-			p.Queue = append(p.Queue, snapPending{
-				Key: q.key, Job: q.job, Class: q.class.String(), VMs: q.vms,
-				NominalS: q.nominalS, MaxS: q.maxS,
-				Requeue: true, Shard: sh.id, Slot: q.slot, VMID: q.vmID,
-			})
+		n++
+		var err error
+		if o.b, err = appendSnapPlacement(o.b, pl); err != nil {
+			return fmt.Errorf("serve: snapshot placement %q: %w", pl.Key, err)
+		}
+		if err := sw.flush(&o.b, false); err != nil {
+			return err
 		}
 	}
+	o.b = append(o.b, "]}"...)
+	return sw.flush(&o.b, true)
+}
 
-	s.mu.Unlock()
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].qmu.Unlock()
+// streamQueue writes the queued and parked requests, holding every
+// shard's qmu while it does.
+func (s *Service) streamQueue(sw *snapWriter, o *objEnc) error {
+	for _, sh := range s.shards {
+		sh.qmu.Lock()
 	}
-	return p
+	defer func() {
+		for i := len(s.shards) - 1; i >= 0; i-- {
+			s.shards[i].qmu.Unlock()
+		}
+	}()
+	n := 0
+	for _, sh := range s.shards {
+		for _, queue := range [2][]*pending{sh.pend, sh.parked} {
+			for _, q := range queue {
+				o.elem(`,"queue":[`, n)
+				n++
+				var err error
+				if o.b, err = appendSnapPending(o.b, q, sh.id); err != nil {
+					return fmt.Errorf("serve: snapshot queued %q: %w", q.key, err)
+				}
+				if err := sw.flush(&o.b, false); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if n > 0 {
+		o.b = append(o.b, ']')
+	}
+	return nil
 }
 
 // writeSnapshot persists a snapshot and truncates the journal it
-// subsumes. Every shard's smu is held from capture through truncation:
-// all journal appends happen under some smu, so none can land between
-// the captured sequence number and the truncate — workers simply wait
-// out the write (bounded by one snapshot-file fsync).
+// subsumes. Every shard's smu is held from the first payload byte
+// through truncation: all journal appends happen under some smu, so
+// none can land between the captured sequence number and the truncate —
+// workers simply wait out the write (bounded by one snapshot-file
+// fsync).
 func (s *Service) writeSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
@@ -1392,8 +1443,7 @@ func (s *Service) writeSnapshot() error {
 			s.shards[i].smu.Unlock()
 		}
 	}()
-	p := s.captureLocked()
-	if err := writeSnapshotFile(s.cfg.SnapshotPath, p); err != nil {
+	if err := writeSnapshotFile(s.cfg.SnapshotPath, s.streamPayload); err != nil {
 		return err
 	}
 	if s.j != nil {
@@ -1406,6 +1456,14 @@ func (s *Service) writeSnapshot() error {
 	}
 	s.mSnapshots.Inc()
 	return nil
+}
+
+// snapshot is writeSnapshot for the ticker and Drain, which have no
+// caller to report a failure to: it is counted instead.
+func (s *Service) snapshot() {
+	if err := s.writeSnapshot(); err != nil {
+		s.mSnapErrs.Inc()
+	}
 }
 
 // ---- restore ----
@@ -1522,6 +1580,7 @@ func (s *Service) placementFromSnap(sp snapPlacement) (*placement, error) {
 		NominalS: sp.NominalS, MaxS: sp.MaxS, Shard: sp.Shard,
 		Servers: append([]int(nil), sp.Servers...), VMIDs: append([]int(nil), sp.VMIDs...),
 		Released: sp.Released, Degraded: sp.Degraded, Relaxed: sp.Relaxed,
+		Level: sp.Level, WaitMS: sp.WaitMS,
 	}, nil
 }
 
@@ -1542,6 +1601,7 @@ func (s *Service) replay(r jrec) error {
 			NominalS: r.NominalS, MaxS: r.MaxS, Shard: sh.id,
 			Servers: append([]int(nil), r.Servers...), VMIDs: append([]int(nil), r.VMIDs...),
 			Degraded: r.Degraded, Relaxed: r.Relaxed,
+			Level: r.Level, WaitMS: r.WaitMS,
 		}, r.Seq)
 	case jRelease:
 		if pl := s.byKey[r.Key]; pl == nil || pl.Released {
@@ -1806,7 +1866,7 @@ func (s *Service) Drain(timeout time.Duration) []obs.Violation {
 			s.finish(p, Outcome{Status: 503, Reason: cloudsim.RejectDraining})
 		}
 	}
-	_ = s.writeSnapshot()
+	s.snapshot()
 	s.wd.RunChecks(s.wallT())
 	_ = s.j.close()
 	return s.wd.Violations()

@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,7 +37,7 @@ func sharedDB(t testing.TB) *model.DB {
 	return testDB
 }
 
-func testConfig(t *testing.T, servers, shards int) Config {
+func testConfig(t testing.TB, servers, shards int) Config {
 	t.Helper()
 	return Config{
 		DB:              sharedDB(t),
@@ -61,6 +65,30 @@ func drainClean(t *testing.T, s *Service) {
 	t.Helper()
 	if v := s.Drain(5 * time.Second); len(v) != 0 {
 		t.Fatalf("drain left %d violations; first: %+v", len(v), v[0])
+	}
+}
+
+// forceLevel pins the ladder at level: a last step an hour ahead keeps
+// every observation inside the dwell window, while the ladder ticker
+// keeps waking parked requeues.
+func forceLevel(s *Service, level int) {
+	s.lad.mu.Lock()
+	s.lad.level = level
+	s.lad.lastStep = s.clock().Add(time.Hour)
+	s.lad.mu.Unlock()
+}
+
+// sameReplay fails unless got is a replay of want, identical in every
+// other field.
+func sameReplay(t *testing.T, what string, got Outcome, want *PlaceResponse) {
+	t.Helper()
+	if got.Status != 200 || got.Resp == nil || !got.Resp.Replayed {
+		t.Fatalf("%s: not a replay: %+v", what, got)
+	}
+	w := *want
+	w.Replayed = true
+	if !reflect.DeepEqual(*got.Resp, w) {
+		t.Fatalf("%s diverged:\n got %+v\nwant %+v", what, *got.Resp, w)
 	}
 }
 
@@ -125,20 +153,65 @@ func TestPlaceReleaseReplay(t *testing.T) {
 	drainClean(t, s)
 }
 
+// TestPlaceValidation runs with the journal on: before durations were
+// checked at admission, a NaN reached the journal encoder (500), and
+// without a journal NaN and +Inf were placed (200).
 func TestPlaceValidation(t *testing.T) {
-	s, err := NewService(testConfig(t, 4, 1))
+	cfg := testConfig(t, 4, 1)
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "state.snap")
+	s, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []PlaceRequest{
 		{Class: "cpu", VMs: 1},                       // missing key
 		{Key: "k", Class: "gpu", VMs: 1},             // unknown class
 		{Key: "k", Class: "cpu", VMs: 0},             // no VMs
 		{Key: "k", Class: "cpu", VMs: maxJobVMs + 1}, // too many
+		{Key: "k", Class: "cpu", VMs: 1, NominalS: nan},
+		{Key: "k", Class: "cpu", VMs: 1, NominalS: inf},
+		{Key: "k", Class: "cpu", VMs: 1, NominalS: -inf},
+		{Key: "k", Class: "cpu", VMs: 1, MaxResponseS: nan},
+		{Key: "k", Class: "cpu", VMs: 1, MaxResponseS: inf},
+		{Key: "k", Class: "cpu", VMs: 1, MaxResponseS: -inf},
+		{Key: "k", Class: "cpu", VMs: 1, MaxResponseS: -5},
 	}
 	for i, req := range cases {
 		if out := s.Place("test", req); out.Status != 400 {
-			t.Errorf("case %d: status %d, want 400 (%+v)", i, out.Status, req)
+			t.Errorf("case %d: status %d reason %q, want 400 (%+v)", i, out.Status, out.Reason, req)
+		}
+	}
+	// A non-positive nominal runtime still means the 600 s default.
+	if out := s.Place("test", PlaceRequest{Key: "neg-nominal", Class: "cpu", VMs: 1, NominalS: -3}); out.Status != 200 {
+		t.Fatalf("negative nominal_s: status %d reason %q", out.Status, out.Reason)
+	}
+	s.mu.Lock()
+	nominal := s.byKey["neg-nominal"].NominalS
+	s.mu.Unlock()
+	if nominal != 600 {
+		t.Fatalf("negative nominal_s stored as %v, want the 600 default", nominal)
+	}
+
+	srv := httptest.NewServer(s.Handler(false))
+	defer srv.Close()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"key":"h","class":"cpu","vms":1,"max_response_s":-5}`, 400},
+		{`{"key":"h","class":"cpu","vms":1,"max_response_s":1e999}`, 400},
+		{`{"key":"h","class":"cpu","vms":1,"nominal_s":-1e999}`, 400},
+		{`{"key":"h","class":"cpu","vms":1,"nominal_s":-1,"max_response_s":0}`, 200},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/place", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s: status %d (%s), want %d", tc.body, resp.StatusCode, body, tc.want)
 		}
 	}
 	drainClean(t, s)
@@ -287,6 +360,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	a := mustPlace(t, s, "keep-1", 2)
 	b := mustPlace(t, s, "keep-2", 1)
+	forceLevel(s, LevelFirstFit)
+	ff := mustPlace(t, s, "first-fit", 1)
+	forceLevel(s, LevelFull)
+	if ff.Level != levelName(LevelFirstFit) {
+		t.Fatalf("forced placement at level %q", ff.Level)
+	}
 	mustPlace(t, s, "gone-1", 1)
 	if out := s.Release("gone-1"); out.Status != 200 {
 		t.Fatalf("release: %+v", out)
@@ -312,15 +391,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := r.Place("test", PlaceRequest{Key: "keep-1", Class: "cpu", VMs: 2})
-	if ra.Status != 200 || !ra.Resp.Replayed ||
-		!reflect.DeepEqual(ra.Resp.Servers, final.Servers) || !reflect.DeepEqual(ra.Resp.VMIDs, final.VMIDs) {
-		t.Fatalf("restored keep-1 diverged: %+v vs %+v", ra.Resp, final)
-	}
-	rb := r.Place("test", PlaceRequest{Key: "keep-2", Class: "cpu", VMs: 1})
-	if rb.Status != 200 || !rb.Resp.Replayed || !reflect.DeepEqual(rb.Resp.Servers, b.Servers) {
-		t.Fatalf("restored keep-2 diverged: %+v vs %+v", rb.Resp, b)
-	}
+	sameReplay(t, "restored keep-1", r.Place("test", PlaceRequest{Key: "keep-1", Class: "cpu", VMs: 2}), final)
+	sameReplay(t, "restored keep-2", r.Place("test", PlaceRequest{Key: "keep-2", Class: "cpu", VMs: 1}), b)
+	sameReplay(t, "restored first-fit", r.Place("test", PlaceRequest{Key: "first-fit", Class: "cpu", VMs: 1}), ff)
 	if rg := r.Place("test", PlaceRequest{Key: "gone-1", Class: "cpu", VMs: 1}); rg.Status != 200 || !rg.Resp.Released {
 		t.Fatalf("released placement not restored as released: %+v", rg)
 	}
@@ -356,6 +429,8 @@ func TestJournalOnlyRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	placed := mustPlace(t, s, "wal-1", 2)
+	forceLevel(s, LevelFirstFit)
+	ff := mustPlace(t, s, "wal-ff", 1)
 	// Abandon s without draining — its workers stay idle; the journal
 	// holds the acknowledged placement, the snapshot file was never
 	// written.
@@ -372,10 +447,8 @@ func TestJournalOnlyRestore(t *testing.T) {
 		t.Fatalf("journal-only restore violations: %+v", v)
 	}
 	r.startWorkers()
-	out := r.Place("test", PlaceRequest{Key: "wal-1", Class: "cpu", VMs: 2})
-	if out.Status != 200 || !out.Resp.Replayed || !reflect.DeepEqual(out.Resp.Servers, placed.Servers) {
-		t.Fatalf("journal-only restore diverged: %+v vs %+v", out.Resp, placed)
-	}
+	sameReplay(t, "journal-only wal-1", r.Place("test", PlaceRequest{Key: "wal-1", Class: "cpu", VMs: 2}), placed)
+	sameReplay(t, "journal-only wal-ff", r.Place("test", PlaceRequest{Key: "wal-ff", Class: "cpu", VMs: 1}), ff)
 	drainClean(t, r)
 }
 
@@ -492,7 +565,7 @@ func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 
 	// Snapshot at seq 5: one placement with its only VM evicted, plus a
 	// queue holding that VM's requeue and a not-yet-placed request.
-	err := writeSnapshotFile(cfg.SnapshotPath, &snapPayload{
+	err := writeSnapshotFileJSON(cfg.SnapshotPath, &snapPayload{
 		Seq: 5, NextVMID: 3, Servers: 8, Shards: 2, MaxVMs: 4,
 		Placements: []snapPlacement{{
 			Key: "evicted", Class: "cpu", Shard: 0, Servers: []int{-1}, VMIDs: []int{2},

@@ -181,6 +181,7 @@ func fmtFloat(f float64) string {
 // first trace.
 func Merge(traces ...*Trace) *Trace {
 	out := &Trace{Header: map[string]string{}}
+	var all []Job
 	for i, tr := range traces {
 		if i == 0 {
 			for _, k := range tr.HeaderOrder {
@@ -188,12 +189,27 @@ func Merge(traces ...*Trace) *Trace {
 				out.Header[k] = tr.Header[k]
 			}
 		}
-		out.Jobs = append(out.Jobs, tr.Jobs...)
+		all = append(all, tr.Jobs...)
 	}
-	slices.SortStableFunc(out.Jobs, func(a, b Job) int {
-		return cmp.Compare(a.SubmitTime, b.SubmitTime)
+	if len(all) == 0 {
+		return out
+	}
+	// Sort positions, not the wide Job records: ties on submit time
+	// keep input order through the position, and each record is copied
+	// once, into its final slot.
+	perm := make([]int32, len(all))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(all[a].SubmitTime, all[b].SubmitTime); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	for i := range out.Jobs {
+	out.Jobs = make([]Job, len(all))
+	for i, p := range perm {
+		out.Jobs[i] = all[p]
 		out.Jobs[i].JobNumber = i + 1
 	}
 	return out

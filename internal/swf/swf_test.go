@@ -2,6 +2,10 @@ package swf
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,6 +194,44 @@ func TestMergeStableOnTies(t *testing.T) {
 	m := Merge(a, b)
 	if m.Jobs[0].UserID != 1 || m.Jobs[1].UserID != 2 {
 		t.Error("merge not stable on equal submit times")
+	}
+}
+
+// TestMergeMatchesStableSort checks Merge against a stable sort of the
+// concatenated jobs on random multi-trace inputs whose submit times
+// collide often; UserID tags each job with its input position.
+func TestMergeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		traces := make([]*Trace, 1+rng.Intn(6))
+		tag := 0
+		for i := range traces {
+			traces[i] = &Trace{Jobs: make([]Job, rng.Intn(300))}
+			for k := range traces[i].Jobs {
+				traces[i].Jobs[k] = Job{JobNumber: k + 1, SubmitTime: int64(rng.Intn(20)), UserID: tag, RunTime: int64(rng.Intn(1000))}
+				tag++
+			}
+		}
+		var want []Job
+		for _, tr := range traces {
+			want = append(want, tr.Jobs...)
+		}
+		inputs := slices.Clone(want)
+		slices.SortStableFunc(want, func(a, b Job) int { return cmp.Compare(a.SubmitTime, b.SubmitTime) })
+		for i := range want {
+			want[i].JobNumber = i + 1
+		}
+		got := Merge(traces...).Jobs
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Merge differs from the stable sort", trial)
+		}
+		var after []Job
+		for _, tr := range traces {
+			after = append(after, tr.Jobs...)
+		}
+		if !slices.Equal(after, inputs) {
+			t.Fatalf("trial %d: Merge modified its inputs", trial)
+		}
 	}
 }
 
