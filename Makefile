@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-serve profile-search cover trace clean
+.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-serve profile-search profile-pa cover trace clean
 
 all: verify
 
@@ -186,6 +186,19 @@ profile-search:
 	$(GO) tool pprof -top -nodecount 25 search.test.bin search.cpu.out
 	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_space search.test.bin search.mem.out
 
+# profile-pa profiles a whole PA replay: BenchmarkSimPA (one Fig. 5
+# SMALLER-cloud trace, 66 servers, PA-0.5, 10,000 VMs, the shape of the
+# sim_pa benchmark workload), with the top consumers of CPU time
+# printed. Where profile-search replays synthetic requests against one
+# fixed fleet, this one sees the fleets, request mix and QoS waits of a
+# real replay, and the simulator's own share. Artifacts: pa.cpu.out +
+# pa.test.bin, inspect interactively with `go tool pprof pa.test.bin
+# pa.cpu.out`.
+profile-pa:
+	$(GO) test -run NONE -bench 'BenchmarkSimPA$$' -benchtime 20x -cpu 1 -benchmem \
+		-cpuprofile pa.cpu.out -o pa.test.bin .
+	$(GO) tool pprof -top -nodecount 25 pa.test.bin pa.cpu.out
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
@@ -198,6 +211,6 @@ trace:
 clean:
 	$(GO) clean ./...
 	rm -f cover.out huge.cpu.out huge.test.bin serve.cpu.out serve.mem.out serve.test.bin \
-		search.cpu.out search.mem.out search.test.bin \
+		search.cpu.out search.mem.out search.test.bin pa.cpu.out pa.test.bin \
 		explain-smoke.jsonl explain-smoke.txt
 	rm -rf serve-soak-artifacts

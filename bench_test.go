@@ -362,6 +362,31 @@ func BenchmarkCloudsimFF(b *testing.B) {
 	}
 }
 
+// BenchmarkSimPA replays one Fig. 5 SMALLER-cloud trace (66 servers,
+// 10,000 VMs) under PA-0.5 with a two-worker search pool: the shape of
+// the sim_pa benchmark workload, where the core partition search
+// dominates. `make profile-pa` profiles it.
+func BenchmarkSimPA(b *testing.B) {
+	ctx := sharedCtx(b)
+	ecfg := experiments.Default()
+	reqs, _, err := (&experiments.Context{Cfg: ecfg, DB: ctx.DB, Sum: ctx.Sum}).Workload()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pa, err := strategy.NewProactiveConfig(core.Config{DB: ctx.DB, SearchWorkers: 2}, core.GoalBalanced)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cloudsim.Config{DB: ctx.DB, Servers: ecfg.SmallServers, Strategy: pa, IdleServerPower: ecfg.IdleServerPower}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cloudsim.Run(cfg, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTracePipeline measures SWF generation plus the full
 // preprocessing pipeline for a 1,000-VM workload.
 func BenchmarkTracePipeline(b *testing.B) {

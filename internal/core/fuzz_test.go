@@ -66,13 +66,26 @@ func fuzzVMs(t *testing.T, spec []byte) []VMRequest {
 	return vms
 }
 
+// shiftBytes returns b with every byte incremented: fuzzFleet and
+// fuzzVMs decode it to another fleet and another VM-type pattern.
+func shiftBytes(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i, x := range b {
+		out[i] = x + 1
+	}
+	return out
+}
+
 // FuzzAllocateMatchesReference asserts that Allocate answers exactly
 // what AllocateReference does, serial and with a two-worker pool, over
 // fleets with many duplicated allocations (some outside the per-class
 // box or above MaxVMsPerServer), 1 to 7 VMs with repeated types, each
 // paper goal, QoS relaxed or not, and per-class bounds disabled by a
 // negative PerClassBound (the ablation setting). ablate's low three
-// bits pick the classes whose bound is disabled.
+// bits pick the classes whose bound is disabled. Each allocator serves
+// three calls in turn, A/B/A: the fuzzed call, one with the fleet and
+// VM bytes shifted under the next goal, and the fuzzed call again, so
+// state one call leaves in the allocator must not reach the next.
 func FuzzAllocateMatchesReference(f *testing.F) {
 	// The TestTouchedTwinStaysSkipped fleet and VMs.
 	f.Add([]byte{0, 3, 0}, []byte{36, 0}, uint8(2), false, uint8(0))
@@ -81,8 +94,13 @@ func FuzzAllocateMatchesReference(f *testing.F) {
 	f.Add([]byte{14, 15, 13, 0, 0, 6, 6, 6}, []byte{0, 3, 0, 3, 1, 2, 25}, uint8(1), true, uint8(7))
 	f.Add([]byte{10, 11, 3, 3, 3, 4, 4, 9}, []byte{24, 25, 26, 24, 25, 26}, uint8(1), false, uint8(5))
 	f.Fuzz(func(t *testing.T, fleet, spec []byte, alpha uint8, relax bool, ablate uint8) {
-		servers, vms := fuzzFleet(fleet), fuzzVMs(t, spec)
-		goal := Goal{Alpha: float64(alpha%3) / 2}
+		type call struct {
+			goal    Goal
+			servers []ServerState
+			vms     []VMRequest
+		}
+		first := call{Goal{Alpha: float64(alpha%3) / 2}, fuzzFleet(fleet), fuzzVMs(t, spec)}
+		second := call{Goal{Alpha: float64((alpha+1)%3) / 2}, fuzzFleet(shiftBytes(fleet)), fuzzVMs(t, shiftBytes(spec))}
 		var bound [workload.NumClasses]int
 		for c := range bound {
 			if ablate>>c&1 != 0 {
@@ -94,13 +112,15 @@ func FuzzAllocateMatchesReference(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantErr := a.AllocateReference(goal, servers, vms)
-			got, gotErr := a.Allocate(goal, servers, vms)
-			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("workers=%d: err %v, reference err %v", workers, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: Allocate %+v\nreference %+v", workers, got, want)
+			for i, c := range []call{first, second, first} {
+				want, wantErr := a.AllocateReference(c.goal, c.servers, c.vms)
+				got, gotErr := a.Allocate(c.goal, c.servers, c.vms)
+				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+					t.Fatalf("workers=%d call %d: err %v, reference err %v", workers, i, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d call %d: Allocate %+v\nreference %+v", workers, i, got, want)
+				}
 			}
 		}
 	})

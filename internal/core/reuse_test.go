@@ -154,6 +154,59 @@ func TestSharedAllocatorConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWarmAllocatorSwitchingCalls drives one warmed allocator through
+// consecutive calls that switch the fleet, the VM-type pattern (A/B/A)
+// and the goal, serial and with a two-worker pool, under strict and
+// relaxed QoS: every answer must equal AllocateReference's. Patterns A
+// and B share their type-count shape, so their block ids coincide while
+// their prices differ: a price table or server grouping carried from
+// one call into the next would misprice it.
+func TestWarmAllocatorSwitchingCalls(t *testing.T) {
+	cpu, io := refTime(t, workload.ClassCPU), refTime(t, workload.ClassIO)
+	patA := []VMRequest{
+		vm("a0", workload.ClassCPU, cpu, cpu*3/2),
+		vm("a1", workload.ClassCPU, cpu, cpu*3/2),
+		vm("a2", workload.ClassIO, io, 0),
+	}
+	patB := []VMRequest{
+		vm("b0", workload.ClassIO, io, io*3/2),
+		vm("b1", workload.ClassIO, io, io*3/2),
+		vm("b2", workload.ClassCPU, cpu*5/4, 0),
+	}
+	// setA has six VMs, so with two workers it takes the pooled path.
+	setA, setB := reuseSets(t)
+	r := rng.New(71)
+	fleets := [][]ServerState{
+		randomFleet(r, 66),
+		fuzzFleet([]byte{14, 0, 3, 15, 3, 7, 13, 0, 14, 6, 4, 5, 12, 0}),
+		randomFleet(r, 9),
+	}
+	for _, relax := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			a, err := NewAllocator(Config{DB: sharedDB(t), RelaxQoS: relax, SearchWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := 0
+			for _, vms := range [][]VMRequest{patA, patB, patA, setA, setB, setA} {
+				for fi, servers := range fleets {
+					goal := Goal{Alpha: float64(step%3) / 2}
+					step++
+					label := fmt.Sprintf("relax=%v workers=%d step=%d fleet=%d", relax, workers, step, fi)
+					want, wantErr := a.AllocateReference(goal, servers, vms)
+					got, gotErr := a.Allocate(goal, servers, vms)
+					if gotErr != wantErr {
+						t.Fatalf("%s: err %v, reference err %v", label, gotErr, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Allocate %+v\nreference %+v", label, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWarmAllocateAllocs pins the allocation count of a warmed Allocate
 // over the paper's 66-server SMALLER cloud. With the search context and
 // estimate cache reused, and the partition generator's buffers shared by

@@ -9,18 +9,27 @@ package core
 //  1. Equivalent partitions (same typed multiset of block compositions)
 //     are deduplicated through a packed integer signature instead of the
 //     legacy sorted-string form; no per-partition string is ever built.
-//  2. Each distinct server state is priced once per block. reset groups
-//     the servers by current allocation; a block then visits only each
-//     group's first untouched member plus the servers this partition
-//     already touched, in ascending index, and keeps the first server of
-//     every distinct effective allocation. Untouched twins of a group's
-//     first untouched member share its allocation, so the full scan's
+//     A block's part of it is a dense id, its per-type VM counts read as
+//     one mixed-radix number.
+//  2. Each block is priced once per server group per call. reset groups
+//     the servers by current allocation in one pass, finding a group by
+//     its allocation's estimate-cache slot (allocations outside the
+//     cache's box, by comparison). A block then visits only each group's
+//     first untouched member plus the servers this partition already
+//     touched, in ascending index, and keeps the first server of every
+//     distinct effective allocation. Untouched twins of a group's first
+//     untouched member share its allocation, so the full scan's
 //     first-occurrence dedup would skip them anyway: the options, their
-//     order and the ε tie-break are those of the full scan. A block
-//     price is then two estimate reads and a loop over the block's VM
-//     types; the Allocator's model.EstimateCache is a dense table over
-//     the bounded allocation box, so a read is an index and a pointer
-//     load, with no hashing and no lock.
+//     order and the ε tie-break are those of the full scan. The visited
+//     untouched servers head distinct groups, so only the touched
+//     servers' allocations need comparing. An untouched server's price
+//     comes from the worker's dense table indexed by (block id, group),
+//     filled on first lookup and cleared per call, with no hashing and
+//     no lock; only touched servers, whose allocation depends on the
+//     partition prefix, are priced directly. A price is two estimate
+//     reads and a loop over the block's VM types, and the Allocator's
+//     model.EstimateCache is itself a dense table over the bounded
+//     allocation box.
 //  3. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -41,6 +50,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,18 +69,27 @@ import (
 // path.
 const parallelWorkThreshold = 6
 
-// blockSig is the canonical typed-multiset signature of one block: VM
-// counts packed 4 bits per VM type. partition.MaxN = 12 bounds both the
-// number of distinct types and any count at 12, so 48 bits suffice and
-// two blocks have equal signatures iff their typed multisets are equal.
-type blockSig uint64
+// blockID is the canonical typed-multiset signature of one block: its VM
+// count per type read as a mixed-radix number, digit t running from 0 to
+// the request's count of type t (blockRadix gives the digit weights).
+// Two blocks of one request share an id iff their typed multisets are
+// equal, a block's id is positive, and ids lie below the product of
+// (count_t + 1), at most 2^n = 4096 for partition.MaxN = 12 VMs — small
+// enough to index a dense per-call price table (searchWorker.prices).
+type blockID uint16
 
 // partSig canonicalizes a whole partition as its sorted multiset of
-// block signatures, zero-padded (a block is never empty, so a zero entry
-// is unambiguous padding). Two partitions have equal signatures iff
-// their multisets of block compositions are equal — the typed
-// generalization of the paper's interchangeable-VM reduction [21].
-type partSig [partition.MaxN]blockSig
+// block ids, zero-padded (a block is never empty, so a zero entry is
+// unambiguous padding). Two partitions have equal signatures iff their
+// multisets of block compositions are equal — the typed generalization
+// of the paper's interchangeable-VM reduction [21].
+type partSig [partition.MaxN]blockID
+
+// priceTableLimit caps a worker's block-price table, in entries (32
+// bytes each). A request of n VMs has at most 2^n block ids per server
+// group, so jobs of up to 8 VMs table 64 groups; on larger requests the
+// groups past the cap are priced directly, as touched servers are.
+const priceTableLimit = 1 << 14
 
 // typeMask is a bitset over VM types (≤ partition.MaxN of them).
 type typeMask uint16
@@ -96,21 +115,38 @@ assign:
 	return typeOf, types
 }
 
-// sigOfBlock folds a block's members into its packed type-count vector.
-func sigOfBlock(typeOf []uint8, block []int) blockSig {
-	var sig blockSig
-	for _, vi := range block {
-		sig += 1 << (4 * blockSig(typeOf[vi]))
+// blockRadix returns, over radix[:0], the weight of each type's digit in
+// a blockID, and the number of ids: the product of (count_t + 1). The
+// product is capped just past priceTableLimit, so a request too large for
+// the partition generator (which rejects it) cannot overflow it.
+func blockRadix(typeOf []uint8, ntypes int, radix []blockID) ([]blockID, int) {
+	radix = zeroed(radix, ntypes)
+	for _, t := range typeOf {
+		radix[t]++
 	}
-	return sig
+	ids := 1
+	for t, count := range radix {
+		radix[t] = blockID(ids)
+		ids = min(ids*(int(count)+1), priceTableLimit+1)
+	}
+	return radix, ids
 }
 
-// sigOfPartition canonicalizes a partition: block signatures, insertion-
-// sorted descending into a fixed array. No heap allocation.
-func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
+// sigOfBlock sums a block's members' digit weights into its id.
+func sigOfBlock(typeOf []uint8, radix []blockID, block []int) blockID {
+	var id blockID
+	for _, vi := range block {
+		id += radix[typeOf[vi]]
+	}
+	return id
+}
+
+// sigOfPartition canonicalizes a partition: block ids, insertion-sorted
+// descending into a fixed array. No heap allocation.
+func sigOfPartition(typeOf []uint8, radix []blockID, blocks [][]int) partSig {
 	var sig partSig
 	for i, block := range blocks {
-		s := sigOfBlock(typeOf, block)
+		s := sigOfBlock(typeOf, radix, block)
 		j := i
 		for j > 0 && sig[j-1] < s {
 			sig[j] = sig[j-1]
@@ -122,12 +158,19 @@ func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
 }
 
 // blockPrice is one block's pricing on one server state: the placement
-// economics minus the concrete VM identities.
+// economics minus the concrete VM identities. The grown allocation is
+// the base plus the block's key, recomputed where it is needed.
 type blockPrice struct {
-	after  model.Key
 	time   units.Seconds
 	energy units.Joules
 	ok     bool
+}
+
+// priceEntry is one slot of a worker's block-price table; priced is
+// false until the slot's first lookup in the call fills it.
+type priceEntry struct {
+	blockPrice
+	priced bool
 }
 
 // candidate is one fully placed partition that survived Pareto pruning.
@@ -198,6 +241,11 @@ type searchCtx struct {
 	typeOf  []uint8
 	types   []VMRequest
 	typeKey []model.Key
+	// radix holds the blockID digit weights and nBlocks the number of
+	// ids; a worker's price table covers groups [0, tableGroups).
+	radix       []blockID
+	nBlocks     int
+	tableGroups int
 
 	// stats is the exact per-call tally behind AllocateExplained.
 	// Enumerated/Deduped are bumped by the sequential producer; the
@@ -206,12 +254,19 @@ type searchCtx struct {
 	stats SearchStats
 
 	// groupHead lists, in first-occurrence order, the first server of
-	// each distinct current allocation; nextInGroup[si] is the next
-	// server, in ascending index, with the allocation of server si, or
-	// -1. groupTail is the build's scratch (last member so far).
-	groupHead   []int
-	groupTail   []int
-	nextInGroup []int
+	// each distinct current allocation, groupKey that allocation and
+	// groupTail its last server; groupOf[si] is server si's group.
+	groupHead []int
+	groupKey  []model.Key
+	groupTail []int
+	groupOf   []int
+	// bySlot maps an allocation's estimate-cache slot to its group plus
+	// one (zero: no group yet); it is cleared through groupKey, so only
+	// the previous call's entries are touched. outGroups lists the groups
+	// whose allocation lies outside the cache's box, the only ones found
+	// by comparison.
+	bySlot    []int32
+	outGroups []int
 
 	// seen is the partition-signature dedup set; only the sequential
 	// producer touches it.
@@ -225,6 +280,7 @@ func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMReques
 	sc := &searchCtx{
 		a:               a,
 		searchTelemetry: &a.tel,
+		bySlot:          make([]int32, a.est.Slots()),
 		seen:            make(map[partSig]struct{}),
 	}
 	sc.reset(goal, servers, vms)
@@ -240,23 +296,64 @@ func (sc *searchCtx) reset(goal Goal, servers []ServerState, vms []VMRequest) {
 	for _, rep := range sc.types {
 		sc.typeKey = append(sc.typeKey, model.KeyFor(rep.Class, 1))
 	}
-	sc.groupHead, sc.groupTail = sc.groupHead[:0], sc.groupTail[:0]
-	sc.nextInGroup = sc.nextInGroup[:0]
-group:
-	for si := range servers {
-		sc.nextInGroup = append(sc.nextInGroup, -1)
-		for g, head := range sc.groupHead {
-			if servers[head].Alloc == servers[si].Alloc {
-				sc.nextInGroup[sc.groupTail[g]] = si
-				sc.groupTail[g] = si
-				continue group
-			}
-		}
-		sc.groupHead = append(sc.groupHead, si)
-		sc.groupTail = append(sc.groupTail, si)
-	}
+	sc.radix, sc.nBlocks = blockRadix(sc.typeOf, len(sc.types), sc.radix)
+	sc.groupServers(servers)
+	sc.tableGroups = min(len(sc.groupHead), priceTableLimit/sc.nBlocks)
 	sc.stats = SearchStats{}
 	clear(sc.seen)
+}
+
+// groupServers groups the servers by current allocation in one pass: an
+// allocation inside the estimate cache's box finds its group through
+// bySlot, one outside it by comparison with the other out-of-box groups.
+func (sc *searchCtx) groupServers(servers []ServerState) {
+	est, bySlot := sc.a.est, sc.bySlot
+	for _, k := range sc.groupKey {
+		if slot, ok := est.Slot(k); ok {
+			bySlot[slot] = 0
+		}
+	}
+	n := len(servers)
+	heads, keys, tails, out := sc.groupHead[:0], sc.groupKey[:0], sc.groupTail[:0], sc.outGroups[:0]
+	groupOf := slices.Grow(sc.groupOf[:0], n)[:n]
+	for si := range servers {
+		alloc := servers[si].Alloc
+		g := -1
+		slot, inBox := est.Slot(alloc)
+		if inBox {
+			g = int(bySlot[slot]) - 1
+		} else {
+			for _, og := range out {
+				if keys[og] == alloc {
+					g = og
+					break
+				}
+			}
+		}
+		if g < 0 {
+			g = len(heads)
+			heads, keys, tails = append(heads, si), append(keys, alloc), append(tails, si)
+			if inBox {
+				bySlot[slot] = int32(g + 1)
+			} else {
+				out = append(out, g)
+			}
+		}
+		groupOf[si], tails[g] = g, si
+	}
+	sc.groupHead, sc.groupKey, sc.groupTail, sc.outGroups = heads, keys, tails, out
+	sc.groupOf = groupOf
+}
+
+// nextInGroup returns the next server after si, in ascending index, of
+// group g, or -1.
+func (sc *searchCtx) nextInGroup(g, si int) int {
+	for si++; si <= sc.groupTail[g]; si++ {
+		if sc.groupOf[si] == g {
+			return si
+		}
+	}
+	return -1
 }
 
 // priceBlock prices adding a block of the VM types in mask (total key
@@ -309,7 +406,7 @@ func (sc *searchCtx) priceBlock(base model.Key, mask typeMask, blockKey model.Ke
 	if deltaE < 0 {
 		deltaE = 0
 	}
-	return blockPrice{after: after, time: blockTime, energy: deltaE, ok: true}
+	return blockPrice{time: blockTime, energy: deltaE, ok: true}
 }
 
 // placedOK rechecks the QoS bounds of VM types already tentatively
@@ -352,12 +449,19 @@ type searchWorker struct {
 	mask    []typeMask  // tentatively placed VM types per server index
 	touched []int
 
-	// Per-block scratch: the servers to visit and the effective
-	// allocations already priced.
-	visit     []int
-	seenBases []model.Key
-	options   []blockOption
-	places    []blockPlace
+	// Per-block scratch: the servers to visit, the effective allocations
+	// already priced, and those of them that belong to touched servers.
+	visit        []int
+	seenBases    []model.Key
+	touchedBases []model.Key
+	options      []blockOption
+	places       []blockPlace
+
+	// prices is the block-price table of this call: entry
+	// id*sc.tableGroups+g prices block id on group g's allocation, for
+	// the groups below sc.tableGroups, filled on its first lookup. It is
+	// reset with the worker.
+	prices []priceEntry
 
 	// Reduction state.
 	frontier []candidate
@@ -380,14 +484,16 @@ type blockOption struct {
 
 func (sc *searchCtx) newWorker() *searchWorker {
 	return &searchWorker{
-		sc:        sc,
-		extra:     make([]model.Key, len(sc.servers)),
-		mask:      make([]typeMask, len(sc.servers)),
-		touched:   make([]int, 0, len(sc.vms)),
-		visit:     make([]int, 0, len(sc.groupHead)+len(sc.vms)),
-		seenBases: make([]model.Key, 0, len(sc.groupHead)+len(sc.vms)),
-		options:   make([]blockOption, 0, len(sc.groupHead)+len(sc.vms)),
-		places:    make([]blockPlace, 0, len(sc.vms)),
+		sc:           sc,
+		extra:        make([]model.Key, len(sc.servers)),
+		mask:         make([]typeMask, len(sc.servers)),
+		touched:      make([]int, 0, len(sc.vms)),
+		visit:        make([]int, 0, len(sc.groupHead)+len(sc.vms)),
+		seenBases:    make([]model.Key, 0, len(sc.groupHead)+len(sc.vms)),
+		touchedBases: make([]model.Key, 0, len(sc.vms)),
+		options:      make([]blockOption, 0, len(sc.groupHead)+len(sc.vms)),
+		places:       make([]blockPlace, 0, len(sc.vms)),
+		prices:       make([]priceEntry, sc.tableGroups*sc.nBlocks),
 	}
 }
 
@@ -404,18 +510,26 @@ func (sc *searchCtx) serialWorker() *searchWorker {
 	// candidates' block and placement slices.
 	clear(w.frontier)
 	*w = searchWorker{
-		sc: sc,
-		// Appending make(...) to s[:0] zeroes n entries in s's capacity.
-		extra:     append(w.extra[:0], make([]model.Key, n)...),
-		mask:      append(w.mask[:0], make([]typeMask, n)...),
-		touched:   w.touched[:0],
-		visit:     w.visit[:0],
-		seenBases: w.seenBases[:0],
-		options:   w.options[:0],
-		places:    w.places[:0],
-		frontier:  w.frontier[:0],
+		sc:           sc,
+		extra:        zeroed(w.extra, n),
+		mask:         zeroed(w.mask, n),
+		touched:      w.touched[:0],
+		visit:        w.visit[:0],
+		seenBases:    w.seenBases[:0],
+		touchedBases: w.touchedBases[:0],
+		options:      w.options[:0],
+		places:       w.places[:0],
+		prices:       zeroed(w.prices, sc.tableGroups*sc.nBlocks),
+		frontier:     w.frontier[:0],
 	}
 	return w
+}
+
+// zeroed returns s resized to n zero entries, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // consider evaluates one partition and folds it into the worker's
@@ -495,6 +609,13 @@ func copyBlocks(blocks [][]int) [][]int {
 // within the block, and the α-scored minimum wins with the epsilon
 // tie-break to the lower server index. Only the servers visitServers
 // lists are scanned; the rest are later twins of a listed server.
+//
+// The listed untouched servers belong to distinct groups, so their
+// allocations are distinct: an untouched server can only repeat the
+// effective allocation of an earlier touched one, and only a touched
+// server's can repeat any earlier one. An untouched server's price
+// comes from the worker's table (unless its group lies past the table);
+// a touched server is priced directly.
 func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	sc := w.sc
 	alpha := sc.goal.Alpha
@@ -508,32 +629,46 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	for _, block := range blocks {
 		var blockKey model.Key
 		var bmask typeMask
+		var id blockID
 		for _, vi := range block {
 			t := sc.typeOf[vi]
 			blockKey = blockKey.Add(sc.typeKey[t])
 			bmask |= 1 << t
+			id += sc.radix[t]
 		}
 
-		w.seenBases = w.seenBases[:0]
+		w.seenBases, w.touchedBases = w.seenBases[:0], w.touchedBases[:0]
 		w.options = w.options[:0]
 		for _, si := range w.visitServers() {
-			base := sc.servers[si].Alloc.Add(w.extra[si])
-			dup := false
-			for _, b := range w.seenBases {
-				if b == base {
-					dup = true
-					break
+			var v blockPrice
+			if w.mask[si] == 0 {
+				base := sc.servers[si].Alloc
+				if slices.Contains(w.touchedBases, base) {
+					continue
 				}
+				w.seenBases = append(w.seenBases, base)
+				if g := sc.groupOf[si]; g < sc.tableGroups {
+					e := &w.prices[int(id)*sc.tableGroups+g]
+					if !e.priced {
+						e.blockPrice, e.priced = sc.priceBlock(base, bmask, blockKey), true
+					}
+					v = e.blockPrice
+				} else {
+					v = sc.priceBlock(base, bmask, blockKey)
+				}
+			} else {
+				base := sc.servers[si].Alloc.Add(w.extra[si])
+				if slices.Contains(w.seenBases, base) {
+					continue
+				}
+				w.seenBases = append(w.seenBases, base)
+				w.touchedBases = append(w.touchedBases, base)
+				v = sc.priceBlock(base, bmask, blockKey)
+				v.ok = v.ok && sc.placedOK(base.Add(blockKey), w.mask[si])
 			}
-			if dup {
-				continue
+			if v.ok {
+				w.options = append(w.options, blockOption{serverIdx: si, val: v})
 			}
-			w.seenBases = append(w.seenBases, base)
-			v := sc.priceBlock(base, bmask, blockKey)
-			if !v.ok || !sc.placedOK(v.after, w.mask[si]) {
-				continue
-			}
-			w.options = append(w.options, blockOption{serverIdx: si, val: v})
 		}
 		if len(w.options) == 0 {
 			return false
@@ -575,7 +710,7 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 		w.mask[si] |= bmask
 		w.places = append(w.places, blockPlace{
 			serverID: sc.servers[si].ID,
-			after:    chosen.val.after,
+			after:    sc.servers[si].Alloc.Add(w.extra[si]),
 			time:     chosen.val.time,
 			energy:   chosen.val.energy,
 		})
@@ -588,13 +723,18 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 // yet touched by the partition, and every touched server. An untouched
 // server later in its group has the same effective allocation as the
 // group's first untouched member, so the first-occurrence dedup of a
-// full scan would skip it. The list is valid until the next call.
+// full scan would skip it. The list is valid until the next call and
+// must not be modified.
 func (w *searchWorker) visitServers() []int {
 	sc := w.sc
+	if len(w.touched) == 0 {
+		return sc.groupHead
+	}
 	w.visit = w.visit[:0]
-	for _, si := range sc.groupHead {
+	for g, si := range sc.groupHead {
+		// A touched head gives way to its group's next untouched server.
 		for si >= 0 && w.mask[si] != 0 {
-			si = sc.nextInGroup[si]
+			si = sc.nextInGroup(g, si)
 		}
 		if si >= 0 {
 			w.visit = append(w.visit, si)
@@ -641,7 +781,7 @@ func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joul
 	_, err := partition.ForEachIndexed(n, func(_ int, blocks [][]int) bool {
 		sc.stats.Enumerated++
 		sc.enumerated.Inc()
-		ps := sigOfPartition(sc.typeOf, blocks)
+		ps := sigOfPartition(sc.typeOf, sc.radix, blocks)
 		if _, dup := seen[ps]; dup {
 			sc.stats.Deduped++
 			sc.deduped.Inc()
@@ -712,7 +852,7 @@ func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds,
 	_, err := partition.ForEachIndexed(n, func(_ int, blocks [][]int) bool {
 		sc.stats.Enumerated++
 		sc.enumerated.Inc()
-		ps := sigOfPartition(sc.typeOf, blocks)
+		ps := sigOfPartition(sc.typeOf, sc.radix, blocks)
 		if _, dup := seen[ps]; dup {
 			sc.stats.Deduped++
 			sc.deduped.Inc()

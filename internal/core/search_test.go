@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -186,12 +187,62 @@ func TestPartitionSignatureProperty(t *testing.T) {
 		if len(types) > n {
 			return false
 		}
-		newEq := sigOfPartition(typeOf, b1) == sigOfPartition(typeOf, b2)
+		radix, _ := blockRadix(typeOf, len(types), nil)
+		newEq := sigOfPartition(typeOf, radix, b1) == sigOfPartition(typeOf, radix, b2)
 		legacyEq := legacyPartitionSignature(vms, b1) == legacyPartitionSignature(vms, b2)
 		return newEq == legacyEq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGroupServersMatchesLinearScan checks the slot-indexed server
+// grouping against the first-occurrence linear grouping it replaced, on
+// one reused context (so each call must clear the previous call's slot
+// marks) over fleets mixing allocations inside and outside the estimate
+// cache's box.
+func TestGroupServersMatchesLinearScan(t *testing.T) {
+	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(83)
+	vms := randomVMs(t, r, 2)
+	sc := newSearchCtx(a, GoalBalanced, emptyServers(1), vms)
+	outTwins := 0
+	for round := 0; round < 200; round++ {
+		fleet := make([]byte, 1+r.Intn(80))
+		for i := range fleet {
+			fleet[i] = byte(r.Intn(256))
+		}
+		servers := fuzzFleet(fleet)
+		sc.reset(GoalBalanced, servers, vms)
+
+		var heads, tails []int
+		groupOf := make([]int, len(servers))
+		for si, s := range servers {
+			g := slices.IndexFunc(heads, func(h int) bool { return servers[h].Alloc == s.Alloc })
+			if g < 0 {
+				g = len(heads)
+				heads, tails = append(heads, si), append(tails, si)
+			} else if _, inBox := a.est.Slot(s.Alloc); !inBox {
+				outTwins++
+			}
+			groupOf[si], tails[g] = g, si
+		}
+		if !slices.Equal(sc.groupHead, heads) || !slices.Equal(sc.groupOf, groupOf) || !slices.Equal(sc.groupTail, tails) {
+			t.Fatalf("round %d: groups heads %v of %v tails %v, linear scan %v of %v tails %v",
+				round, sc.groupHead, sc.groupOf, sc.groupTail, heads, groupOf, tails)
+		}
+		for g, head := range heads {
+			if sc.groupKey[g] != servers[head].Alloc {
+				t.Fatalf("round %d: group %d key %v, head allocation %v", round, g, sc.groupKey[g], servers[head].Alloc)
+			}
+		}
+	}
+	if outTwins == 0 {
+		t.Fatal("no fleet repeated an allocation outside the box; the comparison fallback went untested")
 	}
 }
 

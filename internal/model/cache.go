@@ -87,8 +87,14 @@ func (c *EstimateCache) Instrument(reg *obs.Registry) {
 // Len returns the number of memoized keys.
 func (c *EstimateCache) Len() int { return int(c.n.Load()) }
 
-// slot returns k's table index, or false when k lies outside the box.
-func (c *EstimateCache) slot(k Key) (int, bool) {
+// Slots returns the number of keys the box holds: Slot indexes lie in
+// [0, Slots()).
+func (c *EstimateCache) Slots() int { return len(c.slots) }
+
+// Slot returns k's dense index in the table, or false when k lies
+// outside the box. Two keys in the box share an index iff they are
+// equal, so callers can group keys through a slice indexed by it.
+func (c *EstimateCache) Slot(k Key) (int, bool) {
 	b := c.box
 	if uint(k.NCPU) > uint(b.NCPU) || uint(k.NMEM) > uint(b.NMEM) || uint(k.NIO) > uint(b.NIO) {
 		return 0, false
@@ -100,7 +106,7 @@ func (c *EstimateCache) slot(k Key) (int, bool) {
 // Errors are memoized too: an unpriceable key stays unpriceable for the
 // life of the database.
 func (c *EstimateCache) Estimate(k Key) (Record, error) {
-	i, ok := c.slot(k)
+	i, ok := c.Slot(k)
 	if ok {
 		if e := c.slots[i].Load(); e != nil {
 			c.hits.Inc()

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"pacevm/internal/cloudsim"
 	"pacevm/internal/core"
@@ -342,6 +343,9 @@ type shard struct {
 	parked    []*pending
 	stopped   bool
 	nextRetry time.Time
+	// retryArmed reports a pending timer that wakes the worker when the
+	// deferred parked retry at nextRetry is due (see next).
+	retryArmed bool
 
 	smu      sync.Mutex
 	alloc    []model.Key
@@ -627,6 +631,12 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 		rt.StageEnd(stageDecode)
 		return Outcome{Status: 400, Reason: "missing key"}
 	}
+	// The journal and snapshot write keys as JSON, which turns invalid
+	// UTF-8 into U+FFFD: two such keys would restore as one.
+	if !utf8.ValidString(req.Key) {
+		rt.StageEnd(stageDecode)
+		return Outcome{Status: 400, Reason: "key is not valid UTF-8"}
+	}
 	if req.VMs < 1 || req.VMs > maxJobVMs {
 		rt.StageEnd(stageDecode)
 		return Outcome{Status: 400, Reason: fmt.Sprintf("vms %d out of [1,%d]", req.VMs, maxJobVMs)}
@@ -795,7 +805,10 @@ func (sh *shard) park(p *pending) {
 }
 
 // next blocks for the worker's next unit: control ops first, then one
-// parked requeue per retry window, then the admission queue.
+// parked requeue per retry window, then the admission queue. A worker
+// left waiting with a parked retry deferred arms a timer for when the
+// retry is due, so requeues are retried every parkRetryEvery on their
+// own, not only when something else wakes the worker.
 func (sh *shard) next() (*ctrlOp, *pending, bool) {
 	sh.qmu.Lock()
 	defer sh.qmu.Unlock()
@@ -805,8 +818,10 @@ func (sh *shard) next() (*ctrlOp, *pending, bool) {
 			sh.ctrl = sh.ctrl[1:]
 			return op, nil, true
 		}
+		var retryIn time.Duration
 		if len(sh.parked) > 0 {
-			if now := sh.svc.clock(); !now.Before(sh.nextRetry) {
+			now := sh.svc.clock()
+			if retryIn = sh.nextRetry.Sub(now); retryIn <= 0 {
 				sh.nextRetry = now.Add(parkRetryEvery)
 				p := sh.parked[0]
 				sh.parked = sh.parked[1:]
@@ -822,8 +837,20 @@ func (sh *shard) next() (*ctrlOp, *pending, bool) {
 		if sh.stopped {
 			return nil, nil, false
 		}
+		if retryIn > 0 && !sh.retryArmed {
+			sh.retryArmed = true
+			time.AfterFunc(retryIn, sh.wakeRetry)
+		}
 		sh.qcond.Wait()
 	}
+}
+
+// wakeRetry is the parked-retry timer's callback: it wakes the worker.
+func (sh *shard) wakeRetry() {
+	sh.qmu.Lock()
+	sh.retryArmed = false
+	sh.qcond.Broadcast()
+	sh.qmu.Unlock()
 }
 
 // run is the shard worker: the single goroutine that mutates this
@@ -1320,8 +1347,7 @@ func (s *Service) runTickers() {
 
 // ladderTick feeds the ladder even when no request completes — the
 // oldest queued wait, or zero on idle — so a stalled queue still steps
-// the ladder down and an idle service recovers. It also wakes workers
-// whose only work is parked requeues.
+// the ladder down and an idle service recovers.
 func (s *Service) ladderTick() {
 	now := s.clock()
 	var oldest time.Duration
@@ -1331,9 +1357,6 @@ func (s *Service) ladderTick() {
 			if age := now.Sub(sh.pend[0].enqueued); age > oldest {
 				oldest = age
 			}
-		}
-		if len(sh.parked) > 0 {
-			sh.qcond.Broadcast()
 		}
 		sh.qmu.Unlock()
 	}

@@ -69,8 +69,7 @@ func drainClean(t *testing.T, s *Service) {
 }
 
 // forceLevel pins the ladder at level: a last step an hour ahead keeps
-// every observation inside the dwell window, while the ladder ticker
-// keeps waking parked requeues.
+// every observation inside the dwell window.
 func forceLevel(s *Service, level int) {
 	s.lad.mu.Lock()
 	s.lad.level = level
@@ -349,6 +348,48 @@ func TestCrashRequeuesAndRecover(t *testing.T) {
 	drainClean(t, s)
 }
 
+// TestParkedRequeuesRetryOnTheirOwn evicts two VMs with the ladder's
+// dwell, and so its ticker, at one hour: nothing but the parked-retry
+// timer wakes the worker between retries, and both VMs must be re-placed
+// within a few parkRetryEvery periods.
+func TestParkedRequeuesRetryOnTheirOwn(t *testing.T) {
+	cfg := testConfig(t, 4, 1)
+	cfg.LadderDwell = time.Hour
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustPlace(t, s, "evict-1", 2)
+	crashed := map[int]bool{}
+	start := time.Now()
+	for _, g := range first.Servers {
+		if !crashed[g] {
+			crashed[g] = true
+			if err := s.CrashServer(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for {
+		resp := s.Place("test", PlaceRequest{Key: "evict-1", Class: "cpu", VMs: 2}).Resp
+		replaced := 0
+		for _, g := range resp.Servers {
+			if g >= 0 && !crashed[g] {
+				replaced++
+			}
+		}
+		if replaced == len(resp.Servers) {
+			break
+		}
+		if time.Since(start) > 10*parkRetryEvery {
+			t.Fatalf("after %v, %d of %d evicted VMs re-placed (servers %v)", time.Since(start), replaced, len(resp.Servers), resp.Servers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("both VMs re-placed after %v", time.Since(start))
+	drainClean(t, s)
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, 8, 2)
@@ -414,6 +455,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	drainClean(t, r)
+}
+
+// TestInvalidUTF8KeysRejected places two keys that are invalid UTF-8
+// and differ only in that: the journal and snapshot would write both as
+// U+FFFD, restore as one key and refuse to start. Admission must reject
+// them with 400, and a restart after valid placements must still start
+// and replay those.
+func TestInvalidUTF8KeysRejected(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t, 4, 1)
+	cfg.SnapshotPath = filepath.Join(dir, "state.snap")
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"\xff", "\xfe", "ok-\xff"} {
+		if out := s.Place("test", PlaceRequest{Key: key, Class: "cpu", VMs: 1}); out.Status != 400 {
+			t.Fatalf("place %q: status %d (%q), want 400", key, out.Status, out.Reason)
+		}
+	}
+	valid := mustPlace(t, s, "valid-1", 1)
+	accented := mustPlace(t, s, "clé-2", 1)
+	drainClean(t, s)
+
+	cfg.Restore = true
+	r, err := NewService(cfg)
+	if err != nil {
+		t.Fatalf("restore after rejected invalid keys: %v", err)
+	}
+	sameReplay(t, "restored valid-1", r.Place("test", PlaceRequest{Key: "valid-1", Class: "cpu", VMs: 1}), valid)
+	sameReplay(t, "restored clé-2", r.Place("test", PlaceRequest{Key: "clé-2", Class: "cpu", VMs: 1}), accented)
 	drainClean(t, r)
 }
 

@@ -16,9 +16,11 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pacevm/internal/core"
 	"pacevm/internal/model"
+	"pacevm/internal/partition"
 	"pacevm/internal/rng"
 )
 
@@ -285,28 +287,31 @@ func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]in
 }
 
 // flatten converts an Allocation into the per-VM assignment slice,
-// matching VMs by their IDs.
+// matching VMs by their IDs with a linear scan: a request holds at most
+// partition.MaxN VMs, so a fixed seen-set replaces a per-call map. It
+// rejects an allocation that places a VM twice, places an unknown ID or
+// leaves a VM out; a request repeating an ID is always rejected, since
+// only the first VM with that ID can be matched.
 func flatten(out core.Allocation, vms []core.VMRequest) ([]int, bool) {
-	byID := make(map[string]int, len(vms))
-	for i, vm := range vms {
-		byID[vm.ID] = i
+	if len(vms) > partition.MaxN {
+		return nil, false
 	}
+	var seen [partition.MaxN]bool
 	assign := make([]int, len(vms))
-	seen := make([]bool, len(vms))
+	placed := 0
 	for _, pl := range out.Placements {
 		for _, vm := range pl.VMs {
-			idx, ok := byID[vm.ID]
-			if !ok || seen[idx] {
+			idx := slices.IndexFunc(vms, func(v core.VMRequest) bool { return v.ID == vm.ID })
+			if idx < 0 || seen[idx] {
 				return nil, false
 			}
 			seen[idx] = true
 			assign[idx] = pl.ServerID
+			placed++
 		}
 	}
-	for _, s := range seen {
-		if !s {
-			return nil, false
-		}
+	if placed != len(vms) {
+		return nil, false
 	}
 	return assign, true
 }

@@ -1,12 +1,15 @@
 package strategy
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"pacevm/internal/campaign"
 	"pacevm/internal/core"
 	"pacevm/internal/model"
+	"pacevm/internal/partition"
 	"pacevm/internal/rng"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
@@ -276,5 +279,46 @@ func TestEmptyVMListRefused(t *testing.T) {
 	ff, _ := NewFirstFit(1)
 	if _, ok := ff.Place(mkServers(1), nil); ok {
 		t.Error("empty VM list should be refused")
+	}
+}
+
+// TestFlatten pins flatten's matching by VM ID: a complete allocation
+// maps each VM to its server, and an allocation that places a VM twice,
+// places an unknown ID or leaves a VM out is rejected, as is any request
+// that repeats an ID or exceeds the partition generator's VM bound.
+func TestFlatten(t *testing.T) {
+	req := func(ids ...string) []core.VMRequest {
+		vms := make([]core.VMRequest, len(ids))
+		for i, id := range ids {
+			vms[i] = core.VMRequest{ID: id}
+		}
+		return vms
+	}
+	place := func(server int, ids ...string) core.Placement {
+		return core.Placement{ServerID: server, VMs: req(ids...)}
+	}
+	many := make([]string, partition.MaxN+1)
+	for i := range many {
+		many[i] = fmt.Sprint("v", i)
+	}
+	for _, tc := range []struct {
+		name   string
+		vms    []core.VMRequest
+		places []core.Placement
+		want   []int
+	}{
+		{"complete", req("a", "b", "c"), []core.Placement{place(7, "c", "a"), place(2, "b")}, []int{7, 2, 7}},
+		{"single", req("a"), []core.Placement{place(4, "a")}, []int{4}},
+		{"placed twice", req("a", "b"), []core.Placement{place(1, "a"), place(2, "a", "b")}, nil},
+		{"unknown id", req("a", "b"), []core.Placement{place(1, "a", "x"), place(2, "b")}, nil},
+		{"missing vm", req("a", "b", "c"), []core.Placement{place(1, "a", "c")}, nil},
+		{"duplicate request id", req("a", "a"), []core.Placement{place(1, "a"), place(2, "a")}, nil},
+		{"duplicate request id placed once", req("a", "a"), []core.Placement{place(1, "a")}, nil},
+		{"over MaxN", req(many...), []core.Placement{place(1, many...)}, nil},
+	} {
+		got, ok := flatten(core.Allocation{Placements: tc.places}, tc.vms)
+		if ok != (tc.want != nil) || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: flatten = %v, %v; want %v", tc.name, got, ok, tc.want)
+		}
 	}
 }
